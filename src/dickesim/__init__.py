@@ -1,7 +1,7 @@
 """Conditional atomic entanglement from photon counting in one output channel.
 
 Exact Dicke-basis simulation of pulsed Faraday scattering: photon-count
-statistics, conditional collapse (perfect and inefficient detection),
+statistics, conditional collapse at any detection efficiency,
 sequential-pulse trajectories, cat-state structure, and the
 squeezing/decoherence trade-off, validated against a truncated-Fock oracle.
 """
@@ -11,11 +11,11 @@ __version__ = "0.1.0"
 from .spin_basis import (
     SpinQuantum,
     DickeState,
+    AtomicDensityMatrix,
     SpinMoments,
     log_binomial_amplitude,
     initial_coherent_spin_state,
     spin_moments,
-    squeezing_parameter,
     mean_spin_with_decay,
 )
 from .pulse_scattering import (
@@ -30,16 +30,12 @@ from .pulse_scattering import (
     distribution_peaks,
 )
 from .detection import (
-    DetectionOutcome,
-    AtomicDensityMatrix,
     PulseSpec,
     TrajectoryRecord,
     TrajectoryRun,
-    collapse_perfect,
-    collapse_imperfect,
-    variance_sz_from_rho,
+    collapse,
+    log_outcome_probability,
     sample_outcome,
-    null_probability,
     run_trajectory,
 )
 from .cat_analysis import (
@@ -61,4 +57,10 @@ from .physical_params import (
     optimal_strength,
     inefficiency_optimum,
 )
-from .fock_oracle import TruncatedJointState, oracle_evolve, oracle_project
+from .fock_oracle import (
+    TruncatedJointState,
+    oracle_evolve,
+    oracle_project,
+    oracle_detect,
+    oracle_sequence,
+)

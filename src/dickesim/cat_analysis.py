@@ -13,9 +13,8 @@ import math
 import numpy as np
 from scipy.optimize import bisect
 
-from .detection import AtomicDensityMatrix
 from .errors import DomainError, ShapeError
-from .spin_basis import DickeState
+from .spin_basis import AtomicDensityMatrix, DickeState
 
 __all__ = [
     "PeakReport",

@@ -22,26 +22,8 @@ import numpy as np
 
 from . import __version__
 from .cat_analysis import cat_coherence, cat_peak_location
-from .detection import (
-    AtomicDensityMatrix,
-    DetectionOutcome,
-    PulseSpec,
-    collapse_imperfect,
-    collapse_perfect,
-    run_trajectory,
-    variance_sz_from_rho,
-    _rho_xi,
-)
-from .errors import (
-    ConditioningError,
-    ConfigError,
-    ConsistencyError,
-    ContractViolationError,
-    DickesimError,
-    DomainError,
-    ShapeError,
-    TruncationError,
-)
+from .detection import PulseSpec, collapse, run_trajectory
+from .errors import ConfigError, ConsistencyError, DickesimError, DomainError
 from .physical_params import (
     PhysicalConfig,
     derive_strengths,
@@ -55,21 +37,13 @@ from .pulse_scattering import (
     distribution_peaks,
     photon_distribution,
 )
-from .spin_basis import initial_coherent_spin_state, spin_moments, squeezing_parameter
-from .errors import SingularStateError
+from .spin_basis import initial_coherent_spin_state, spin_moments
 
 # exit-code contract: usage errors are 1, not click's default 2
 click.UsageError.exit_code = 1
 
 EXIT_DOMAIN = 2
 EXIT_CONSISTENCY = 3
-
-
-def _max_threads() -> int | None:
-    """DICKE_THREADS caps internal parallelism (all evaluation is currently
-    serial; the cap is recorded in the manifest for reproducibility)."""
-    value = os.environ.get("DICKE_THREADS")
-    return int(value) if value else None
 
 
 def _write_atomic(path: Path, data: str) -> None:
@@ -94,9 +68,6 @@ def _write_manifest(out_dir: Path, command: str, parameters: dict, seed: int | N
         "tool_version": __version__,
         "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
-    threads = _max_threads()
-    if threads is not None:
-        manifest["parameters"] = dict(parameters, DICKE_THREADS=threads)
     path = out_dir / f"{command}_manifest.json"
     _write_atomic(path, json.dumps(manifest, indent=2) + "\n")
     return path
@@ -190,34 +161,27 @@ def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gn
     click.echo(f"wrote {', '.join(str(p) for p in outputs)}")
 
 
-@main.command()
+@main.command("collapse")
 @click.option("--n-atoms", "-N", "n_atoms", type=int, required=True)
 @click.option("--strength", "-C", "c", type=float, required=True)
 @click.option("--count", "-n", "n_m", type=int, required=True)
 @click.option("--mu", type=float, default=1.0, show_default=True)
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def collapse(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt: str) -> None:
+def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt: str) -> None:
     """Collapse the initial state on a photon-count outcome; emit P_a(M)."""
     out_dir = _common_out(out)
     state = initial_coherent_spin_state(n_atoms)
-    joint = apply_pulse(state, c)
-    summary: dict = {"n_atoms": n_atoms, "C": c, "n_m": n_m, "mu": mu}
-    if mu == 1.0:
-        collapsed = collapse_perfect(joint, n_m)
-        pops = collapsed.populations()
-        moments = spin_moments(collapsed)
-        summary["var_Sz"] = moments.var_sz
-        try:
-            summary["xi"] = squeezing_parameter(collapsed)
-        except SingularStateError:
-            summary["xi"] = None
-        dm = AtomicDensityMatrix.from_pure(collapsed)
-    else:
-        dm = collapse_imperfect(joint, DetectionOutcome(n_m=n_m, mu=mu))
-        pops = dm.populations()
-        summary["var_Sz"] = variance_sz_from_rho(dm)
-        summary["xi"] = _rho_xi(dm)
+    collapsed = collapse(apply_pulse(state, c, mu), n_m)
+    moments = spin_moments(collapsed)
+    summary: dict = {
+        "n_atoms": n_atoms,
+        "C": c,
+        "n_m": n_m,
+        "mu": mu,
+        "var_Sz": moments.var_sz,
+        "xi": moments.xi,
+    }
     m_values = state.spin.m_values()
     if n_m > 0 and c > 0:
         m_peak = cat_peak_location(c, n_m)
@@ -226,10 +190,10 @@ def collapse(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt: str) ->
         summary["lattice_peaks"] = [-arm, arm]
         if mu < 1.0 and 0 < arm <= state.spin.s_twice // 2:
             try:
-                summary["coherence"] = cat_coherence(dm, arm)
+                summary["coherence"] = cat_coherence(collapsed, arm)
             except DomainError:
                 summary["coherence"] = None
-    rows = [(float(m), float(p)) for m, p in zip(m_values, pops)]
+    rows = [(float(m), float(p)) for m, p in zip(m_values, collapsed.populations())]
     table = _emit_table(out_dir / "collapse", rows, ("M", "P_a"), fmt)
     sidecar = out_dir / "collapse_summary.json"
     _write_atomic(sidecar, json.dumps(summary, indent=2) + "\n")
@@ -339,20 +303,8 @@ def squeeze_scan(
         }
     if mu is not None:
         state = initial_coherent_spin_state(n_atoms)
-        xi_mu = []
-        for c in grid:
-            joint = apply_pulse(state, c)
-            if mu == 1.0:
-                collapsed = collapse_perfect(joint, 0)
-                try:
-                    xi_mu.append(squeezing_parameter(collapsed))
-                except SingularStateError:
-                    xi_mu.append(math.nan)
-            else:
-                dm = collapse_imperfect(joint, DetectionOutcome(n_m=0, mu=mu))
-                value = _rho_xi(dm)
-                xi_mu.append(math.nan if value is None else value)
-        xi_mu = np.array(xi_mu)
+        xis = [spin_moments(collapse(apply_pulse(state, c, mu), 0)).xi for c in grid]
+        xi_mu = np.array([math.nan if xi is None else xi for xi in xis])
         columns.append("xi_inefficiency" if d_res is not None else "xi")
         series.append(xi_mu)
         k = int(np.nanargmin(xi_mu))
@@ -438,14 +390,7 @@ def run() -> None:
     except ConsistencyError as exc:
         click.echo(f"internal consistency failure: {exc}", err=True)
         sys.exit(EXIT_CONSISTENCY)
-    except (
-        ConditioningError,
-        DomainError,
-        ShapeError,
-        TruncationError,
-        ContractViolationError,
-        DickesimError,
-    ) as exc:
+    except DickesimError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DOMAIN)
     except OSError as exc:

@@ -1,218 +1,108 @@
-"""Conditional collapse on a photon-count outcome and sequential trajectories.
+"""Conditional collapse on a detected photon count and sequential trajectories.
 
-Perfect detection (mu = 1) leaves a pure Dicke-basis state with amplitudes
-a_M (alpha_M)^n e^{-|alpha_M|^2/2}; inefficient detection traces over the
-undetected field and yields a mixed atomic density matrix.  Sequences of
-pulses are propagated as pure states while every detection is perfect, and
-as density matrices (branch-wise over the eigendecomposition) once an
-inefficient detection has occurred.
+Every pulse and every count is diagonal in S_z, so conditioning on n
+detected photons at efficiency mu multiplies the density matrix entrywise
+by the Schur kernel
+
+    K_MN = (C^2 M N)^n exp[(1 - mu) C^2 M N - C^2 (M^2 + N^2) / 2]
+         = k_M k_N exp[-(1 - mu) C^2 (M - N)^2 / 2],
+    k_M  = (C M)^n exp(-mu C^2 M^2 / 2),
+
+and normalising by the trace.  At mu = 1 the kernel is rank one, so a pure
+state stays pure: its amplitudes are multiplied by k_M.  The trace of the
+conditioned state is P(n) n!/mu^n, so the outcome probability and the
+collapse share one sum.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.linalg import toeplitz
+from scipy.special import gammaln
 
 from .errors import ConditioningError, DomainError
-from .pulse_scattering import JointState, PhotonDistribution, apply_pulse, default_n_max, photon_distribution
-from .spin_basis import (
-    DickeState,
-    SpinQuantum,
-    min_orthogonal_variance,
-    spin_matrices,
-    spin_moments,
-    squeezing_parameter,
-)
+from .pulse_scattering import JointState, PhotonDistribution, apply_pulse, photon_distribution
+from .spin_basis import AtomicDensityMatrix, DickeState, spin_moments
 
 LOG_PROB_FLOOR = math.log(1e-300)
 
 __all__ = [
-    "DetectionOutcome",
-    "AtomicDensityMatrix",
     "PulseSpec",
     "PulseResult",
     "TrajectoryRecord",
     "TrajectoryRun",
-    "collapse_perfect",
-    "collapse_imperfect",
-    "variance_sz_from_rho",
+    "collapse",
     "sample_outcome",
-    "null_probability",
     "log_outcome_probability",
     "run_trajectory",
 ]
 
 
-@dataclass(frozen=True)
-class DetectionOutcome:
-    """A detected photon count n_m at efficiency mu = 1 - e^{-lambda T_d}."""
-
-    n_m: int
-    mu: float = 1.0
-
-    def __post_init__(self):
-        if self.n_m < 0:
-            raise DomainError(f"photon count must be >= 0, got {self.n_m}")
-        if not 0.0 <= self.mu <= 1.0:
-            raise DomainError(f"detection efficiency must lie in [0,1], got {self.mu}")
-
-
-@dataclass(frozen=True)
-class AtomicDensityMatrix:
-    """Mixed atomic state rho[M,N] over the Dicke basis."""
-
-    spin: SpinQuantum
-    rho: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (self.spin.dim, self.spin.dim):
-            raise DomainError(f"rho has shape {rho.shape}, expected square of dim {self.spin.dim}")
-        object.__setattr__(self, "rho", rho)
-
-    @classmethod
-    def from_pure(cls, state: DickeState) -> "AtomicDensityMatrix":
-        a = state.amplitudes
-        return cls(state.spin, np.outer(a, a.conj()))
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.rho))
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2)[0])
-
-
-def log_outcome_probability(state: JointState, n_m: int) -> float:
-    """log P(n_m) for the Poisson-mixture photon law of the joint state."""
+def _kernel_diagonal(joint: JointState, n_m: int) -> tuple[np.ndarray, float, float]:
+    """(k, t, log P(n_m)) with k the kernel diagonal scaled so max rho_MM k_M^2 = 1
+    and t = sum rho_MM k_M^2, the trace of the unnormalised conditioned state."""
     if n_m < 0:
         raise DomainError(f"photon count must be >= 0, got {n_m}")
-    weights = state.populations()
-    intensities = np.abs(state.field_alphas) ** 2
-    terms = np.full(weights.shape, -np.inf)
-    pos = intensities > 0.0
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights, out=np.full_like(weights, -np.inf), where=weights > 0)
-    terms[pos] = (
-        logw[pos]
-        - intensities[pos]
-        + n_m * np.log(intensities[pos])
-        - gammaln(n_m + 1)
-    )
-    zero = ~pos
-    if n_m == 0 and np.any(zero):
-        terms[zero] = logw[zero]
-    return float(logsumexp(terms))
-
-
-def null_probability(state: JointState) -> float:
-    """P(0) = sum_M |a_M|^2 e^{-|alpha_M|^2}."""
-    return float(np.sum(state.populations() * np.exp(-np.abs(state.field_alphas) ** 2)))
-
-
-def collapse_perfect(state: JointState, n_m: int) -> DickeState:
-    """Pure-state collapse conditioned on n_m detected photons at mu = 1.
-
-    Amplitudes pick up (alpha_M)^{n_m} e^{-|alpha_M|^2/2}; the field is left
-    in vacuum.  Magnitudes are handled in log space so large n_m and |alpha|
-    do not overflow.
-    """
-    if log_outcome_probability(state, n_m) < LOG_PROB_FLOOR:
-        raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
-    a = state.atomic_amplitudes
-    alphas = state.field_alphas
-    mag_a = np.abs(a)
-    mag_alpha = np.abs(alphas)
-    with np.errstate(divide="ignore"):
-        log_mag = (
-            np.log(mag_a, out=np.full(a.shape, -np.inf), where=mag_a > 0)
-            - 0.5 * mag_alpha**2
-        )
+    cm = joint.c * joint.spin.m_values()
+    log_k = -0.5 * joint.intensities()
     if n_m > 0:
         with np.errstate(divide="ignore"):
-            log_mag += n_m * np.log(
-                mag_alpha, out=np.full(a.shape, -np.inf), where=mag_alpha > 0
-            )
-    phase = np.angle(a) + n_m * np.angle(alphas)
-    shift = np.max(log_mag)
-    mags = np.exp(log_mag - shift)
-    amps = mags * np.exp(1j * phase)
-    amps /= np.linalg.norm(amps)
-    return DickeState(state.spin, amps)
-
-
-def collapse_imperfect(state: JointState, outcome: DetectionOutcome) -> AtomicDensityMatrix:
-    """Mixed-state collapse at efficiency mu, tracing over undetected photons.
-
-    rho_MN propto a_N^* a_M alpha_N^{*n} alpha_M^n e^{(1-mu) alpha_N^* alpha_M}
-    e^{-(|alpha_M|^2+|alpha_N|^2)/2}, normalized by
-    sum_X |a_X|^2 |alpha_X|^{2n} e^{-mu |alpha_X|^2}.
-    """
-    n_m, mu = outcome.n_m, outcome.mu
-    a = state.atomic_amplitudes
-    alphas = state.field_alphas
-    mag_a = np.abs(a)
-    mag_alpha = np.abs(alphas)
-
+            log_k = log_k + n_m * np.log(np.abs(cm))
+    pop = joint.populations()
     with np.errstate(divide="ignore"):
-        log_mag_a = np.log(mag_a, out=np.full(a.shape, -np.inf), where=mag_a > 0)
-        log_mag_alpha = np.log(mag_alpha, out=np.full(a.shape, -np.inf), where=mag_alpha > 0)
-
-    # Denominator, in log space.
-    denom_terms = 2.0 * log_mag_a - mu * mag_alpha**2
+        log_w = np.log(pop, out=np.full(pop.shape, -np.inf), where=pop > 0) + 2.0 * log_k
+    shift = float(np.max(log_w))
+    if shift == -np.inf:
+        return np.zeros_like(cm), 0.0, -math.inf
+    k = np.exp(log_k - 0.5 * shift, out=np.zeros_like(cm), where=pop > 0)
+    if n_m % 2:
+        k *= np.sign(cm)
+    t = float(np.sum(pop * k * k))
+    log_p = shift + math.log(t) - gammaln(n_m + 1)
     if n_m > 0:
-        denom_terms = denom_terms + 2.0 * n_m * log_mag_alpha
-    log_denom = float(logsumexp(denom_terms))
-    if log_denom < LOG_PROB_FLOOR:
+        log_p += n_m * math.log(joint.mu) if joint.mu > 0 else -math.inf
+    return k, t, log_p
+
+
+def log_outcome_probability(joint: JointState, n_m: int) -> float:
+    """log P(n_m) of the detected-count law of the joint state."""
+    return _kernel_diagonal(joint, n_m)[2]
+
+
+def collapse(joint: JointState, n_m: int) -> DickeState | AtomicDensityMatrix:
+    """Condition the atoms on n_m detected photons.
+
+    A pure state at mu = 1 stays a DickeState; anything else is returned as
+    an AtomicDensityMatrix.  Raises ConditioningError when P(n_m) < 1e-300.
+    """
+    k, t, log_p = _kernel_diagonal(joint, n_m)
+    if log_p < LOG_PROB_FLOOR:
         raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
-
-    pow_term = n_m * log_mag_alpha if n_m > 0 else np.zeros_like(log_mag_alpha)
-    # cross[M, N] = alpha_N^* alpha_M
-    cross = alphas[:, None] * np.conj(alphas)[None, :]
-    log_mag = (
-        log_mag_a[:, None]
-        + log_mag_a[None, :]
-        + pow_term[:, None]
-        + pow_term[None, :]
-        + (1.0 - mu) * np.real(cross)
-        - 0.5 * (mag_alpha**2)[:, None]
-        - 0.5 * (mag_alpha**2)[None, :]
-    )
-    phase = (
-        np.angle(a)[:, None]
-        - np.angle(a)[None, :]
-        + n_m * (np.angle(alphas)[:, None] - np.angle(alphas)[None, :])
-        + (1.0 - mu) * np.imag(cross)
-    )
-    with np.errstate(over="ignore"):
-        rho = np.exp(log_mag - log_denom) * np.exp(1j * phase)
-    rho[np.isneginf(log_mag)] = 0.0
-    return AtomicDensityMatrix(state.spin, rho)
+    state = joint.state
+    if isinstance(state, DickeState):
+        ka = k * state.amplitudes
+        if joint.mu == 1.0:
+            return DickeState(state.spin, ka / math.sqrt(t))
+        rho = np.outer(ka, ka.conj())
+    else:
+        rho = k[:, None] * state.rho * k[None, :]
+    if joint.mu < 1.0:
+        # exp[-(1 - mu) C^2 (M - N)^2 / 2] depends on M - N only
+        gap = np.arange(state.spin.dim)
+        rho *= toeplitz(np.exp(-0.5 * (1.0 - joint.mu) * joint.c**2 * gap**2))
+    return AtomicDensityMatrix(state.spin, rho / t)
 
 
-def variance_sz_from_rho(dm: AtomicDensityMatrix) -> float:
-    """Tr(rho S_z^2) - Tr(rho S_z)^2 from the diagonal populations."""
-    m = dm.spin.m_values()
-    pop = dm.populations()
-    mean = float(np.sum(m * pop))
-    return float(np.sum(m * m * pop) - mean * mean)
-
-
-def sample_outcome(state: JointState, rng: np.random.Generator) -> int:
-    """Draw a photon count by Born sampling: branch M, then Poisson(|alpha_M|^2)."""
-    weights = state.populations()
+def sample_outcome(joint: JointState, rng: np.random.Generator) -> int:
+    """Draw a detected count by Born sampling: branch M, then Poisson(lambda_M)."""
+    weights = joint.populations()
     weights = weights / weights.sum()
     idx = rng.choice(weights.size, p=weights)
-    lam = float(np.abs(state.field_alphas[idx]) ** 2)
+    lam = float(joint.intensities()[idx])
     if lam == 0.0:
         return 0
     return int(rng.poisson(lam))
@@ -273,50 +163,6 @@ class TrajectoryRecord:
         return "".join(line + "\n" for line in lines)
 
 
-def _rho_xi(dm: AtomicDensityMatrix) -> float | None:
-    """Squeezing parameter of a mixed state; None when the mean spin vanishes."""
-    sx, sy, sz = spin_matrices(dm.spin)
-    rho = dm.rho
-    means = np.array([np.real(np.trace(rho @ op)) for op in (sx, sy, sz)])
-    length = float(np.linalg.norm(means))
-    if length < 1e-9:
-        return None
-    direction = means / length
-    seed_vec = np.array([0.0, 0.0, 1.0])
-    if abs(np.dot(seed_vec, direction)) > 0.9:
-        seed_vec = np.array([0.0, 1.0, 0.0])
-    e1 = seed_vec - np.dot(seed_vec, direction) * direction
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(direction, e1)
-    ops = [e1[0] * sx + e1[1] * sy + e1[2] * sz, e2[0] * sx + e2[1] * sy + e2[2] * sz]
-    mvals = [float(np.real(np.trace(rho @ op))) for op in ops]
-    cov = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            sym = (ops[i] @ ops[j] + ops[j] @ ops[i]) / 2
-            cov[i, j] = float(np.real(np.trace(rho @ sym))) - mvals[i] * mvals[j]
-    var_perp = max(float(np.linalg.eigvalsh(cov)[0]), 0.0)
-    s = dm.spin.s
-    return float(math.sqrt(2.0 * s) * math.sqrt(var_perp) / length)
-
-
-def _pure_xi(state: DickeState) -> float | None:
-    mom = spin_moments(state)
-    if mom.mean_spin_length < 1e-9:
-        return None
-    return squeezing_parameter(state)
-
-
-def _branch_decomposition(dm: AtomicDensityMatrix, tol: float = 1e-12) -> list[tuple[float, DickeState]]:
-    vals, vecs = np.linalg.eigh((dm.rho + dm.rho.conj().T) / 2)
-    branches = []
-    for val, vec in zip(vals, vecs.T):
-        if val > tol:
-            branches.append((float(val), DickeState(dm.spin, vec / np.linalg.norm(vec))))
-    total = sum(w for w, _ in branches)
-    return [(w / total, st) for w, st in branches]
-
-
 @dataclass(frozen=True)
 class TrajectoryRun:
     record: TrajectoryRecord
@@ -332,11 +178,10 @@ def run_trajectory(
 ) -> TrajectoryRun:
     """Run a sequence of pulses with Born-sampled (or forced) outcomes.
 
-    The final state stays a DickeState while every detection so far was
-    perfect and becomes an AtomicDensityMatrix afterwards.  Pulses after an
-    inefficient detection act branch-wise on the eigendecomposition of the
-    density matrix.  With collect_distributions, the pre-collapse photon
-    law of every pulse is recorded.
+    The state stays a DickeState while every detection so far was perfect
+    and becomes an AtomicDensityMatrix at the first mu < 1 pulse.  With
+    collect_distributions, the detected-count law of every pulse is recorded
+    before its outcome.
     """
     initial.require_normalized()
     rng = np.random.default_rng(seed)
@@ -345,68 +190,23 @@ def run_trajectory(
     state: DickeState | AtomicDensityMatrix = initial
 
     for idx, spec in enumerate(pulses):
-        if isinstance(state, DickeState) and spec.mu == 1.0:
-            joint = apply_pulse(state, spec.c)
-            if collect_distributions:
-                dists.append(photon_distribution(joint))
-            if spec.force_n is not None:
-                n_m = spec.force_n
-                if log_outcome_probability(joint, n_m) < LOG_PROB_FLOOR:
-                    raise ConditioningError(
-                        f"forced outcome n_m={n_m} impossible at pulse {idx}"
-                    )
-            else:
-                n_m = sample_outcome(joint, rng)
-            state = collapse_perfect(joint, n_m)
-            var_sz = spin_moments(state).var_sz
-            xi = _pure_xi(state)
-        else:
-            if isinstance(state, DickeState):
-                state = AtomicDensityMatrix.from_pure(state)
-            branches = _branch_decomposition(state)
-            joints = [(w, apply_pulse(st, spec.c)) for w, st in branches]
-            if collect_distributions:
-                n_max = default_n_max(spec.c, state.spin.s)
-                mix = np.zeros(n_max + 1)
-                for w, joint in joints:
-                    mix += w * photon_distribution(joint, n_max).probabilities
-                dists.append(
-                    PhotonDistribution(probabilities=mix, n_max=n_max, tail_mass=1.0 - mix.sum())
-                )
-            if spec.force_n is not None:
-                n_m = spec.force_n
-            else:
-                # Born sampling over the mixture: pick a branch, then a count.
-                bw = np.array([w for w, _ in joints])
-                k = rng.choice(bw.size, p=bw / bw.sum())
-                n_m = sample_outcome(joints[k][1], rng)
-            log_probs = np.array(
-                [log_outcome_probability(j, n_m) for _, j in joints]
-            )
-            logw = np.log(np.array([w for w, _ in joints]))
-            log_post = logw + log_probs
-            total = logsumexp(log_post)
-            if total < LOG_PROB_FLOOR:
-                raise ConditioningError(
-                    f"outcome n_m={n_m} impossible at pulse {idx}"
-                )
-            post_w = np.exp(log_post - total)
-            dim = state.spin.dim
-            rho = np.zeros((dim, dim), dtype=complex)
-            outcome = DetectionOutcome(n_m=n_m, mu=spec.mu)
-            for w, (_, joint) in zip(post_w, joints):
-                rho += w * collapse_imperfect(joint, outcome).rho
-            state = AtomicDensityMatrix(state.spin, rho)
-            var_sz = variance_sz_from_rho(state)
-            xi = _rho_xi(state)
+        joint = apply_pulse(state, spec.c, spec.mu)
+        if collect_distributions:
+            dists.append(photon_distribution(joint))
+        n_m = spec.force_n if spec.force_n is not None else sample_outcome(joint, rng)
+        try:
+            state = collapse(joint, n_m)
+        except ConditioningError as exc:
+            raise ConditioningError(f"pulse {idx}: {exc}") from exc
+        moments = spin_moments(state)
         results.append(
             PulseResult(
                 pulse_index=idx,
                 c=spec.c,
                 mu=spec.mu,
                 n_m=n_m,
-                post_var_sz=var_sz,
-                post_xi=xi,
+                post_var_sz=moments.var_sz,
+                post_xi=moments.xi,
             )
         )
 

@@ -13,10 +13,6 @@ class ContractViolationError(DickesimError):
     """An input violates a documented precondition (e.g. unnormalized state)."""
 
 
-class SingularStateError(DickesimError):
-    """Quantity undefined for this state (e.g. squeezing with zero mean spin)."""
-
-
 class ConditioningError(DickesimError):
     """Requested measurement outcome is numerically impossible (P < 1e-300)."""
 

@@ -2,9 +2,12 @@
 
 Builds the full atom (x) photon-mode state, evolves each S_z column by an
 explicit matrix exponential of the truncated (c^dag + c) generator, and
-projects on photon-number outcomes.  Deliberately shares no evolution or
-collapse code with the analytic modules; it exists so their coherent-branch
-shortcuts can be checked against an independent computation.
+projects on photon-number outcomes.  Inefficient detection is a beam
+splitter in front of a perfect counter: each Fock column is thinned
+binomially and the undetected photons are traced out, which leaves a mixed
+atomic state carried as an ensemble of pure vectors.  Deliberately shares no
+evolution or collapse code with the analytic modules; it exists so their
+coherent-branch shortcuts can be checked against an independent computation.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln, xlogy
 
 from .errors import ConditioningError, DomainError, TruncationError
-from .spin_basis import DickeState, SpinQuantum
+from .spin_basis import AtomicDensityMatrix, DickeState, SpinQuantum
 
-__all__ = ["TruncatedJointState", "oracle_evolve", "oracle_project"]
+__all__ = ["TruncatedJointState", "oracle_evolve", "oracle_project", "oracle_detect", "oracle_sequence"]
 
 MAX_ORACLE_S = 6.0
 LEAKAGE_BOUND = 1e-8
@@ -105,3 +109,54 @@ def oracle_project(joint: TruncatedJointState, n_m: int) -> DickeState:
     if weight <= 1e-300:
         raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
     return DickeState(joint.spin, column / math.sqrt(weight))
+
+
+def oracle_detect(joint: TruncatedJointState, n_m: int, mu: float) -> np.ndarray:
+    """Unnormalised atomic vectors left by detecting n_m photons at efficiency mu.
+
+    A beam splitter of transmission mu sends |n> to sum_k sqrt(binom(n, k)
+    mu^k (1-mu)^(n-k)) |k>_detected |n-k>_lost.  Keeping k = n_m and tracing
+    out the lost mode leaves one vector per lost count l, the Fock column
+    n_m + l times sqrt(binom(n_m + l, l) mu^n_m (1-mu)^l); the conditioned
+    state is sum_l v_l v_l^dag up to normalisation.  Returns the v_l as the
+    columns of a (2S+1, L) array.
+    """
+    if not 0.0 <= mu <= 1.0:
+        raise DomainError(f"detection efficiency must lie in [0,1], got {mu}")
+    if not 0 <= n_m < joint.fock_dim:
+        raise DomainError(f"n_m = {n_m} outside truncated Fock space 0..{joint.fock_dim - 1}")
+    lost = np.arange(joint.fock_dim - n_m)
+    log_weight = (
+        gammaln(n_m + lost + 1.0)
+        - gammaln(n_m + 1.0)
+        - gammaln(lost + 1.0)
+        + xlogy(n_m, mu)
+        + xlogy(lost, 1.0 - mu)
+    )
+    return joint.amplitudes[:, n_m:] * np.exp(0.5 * log_weight)[None, :]
+
+
+def oracle_sequence(state: DickeState, pulses: list[tuple[float, float, int]]) -> AtomicDensityMatrix:
+    """Condition `state` on the detected counts of pulses (C, mu, n_m) in turn.
+
+    Each ensemble vector is evolved by oracle_evolve and split by
+    oracle_detect.  Between pulses the ensemble W is replaced by R^dag from
+    the QR factorisation W^dag = QR, which keeps W W^dag exactly and at most
+    2S+1 vectors.
+    """
+    spin = state.spin
+    vectors = state.amplitudes[:, None]
+    for c, mu, n_m in pulses:
+        parts = []
+        for v in vectors.T:
+            weight = float(np.linalg.norm(v))
+            if weight == 0.0:
+                continue
+            joint = oracle_evolve(DickeState(spin, v / weight), c)
+            parts.append(weight * oracle_detect(joint, n_m, mu))
+        stacked = np.concatenate(parts, axis=1)
+        if np.sum(np.abs(stacked) ** 2) <= 1e-300:
+            raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
+        vectors = np.linalg.qr(stacked.conj().T, mode="r").conj().T
+        vectors /= np.linalg.norm(vectors)
+    return AtomicDensityMatrix(spin, vectors @ vectors.conj().T)

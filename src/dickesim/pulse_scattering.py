@@ -2,10 +2,12 @@
 
 A pulse of strength C entangles the atoms with the scattered mode through
 exp[-iC(c^dag + c) S_z].  Because the interaction is diagonal in S_z, the
-joint state is stored losslessly as one coherent-field branch per M:
-branch M carries the unchanged atomic amplitude a_M and the coherent
-amplitude alpha_M = -iC*M.  Photon-number statistics are then an exact
-Poisson mixture weighted by the atomic populations.
+joint state is stored losslessly as the atomic state before the pulse plus
+C: branch M carries the coherent amplitude alpha_M = -iC*M.  A detector of
+efficiency mu sees each photon with probability mu, so branch M gives
+Poisson(lambda_M) detected counts with lambda_M = mu (C M)^2, and the
+detected-count law is the exact Poisson mixture weighted by the atomic
+populations.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, TruncationError
-from .spin_basis import DickeState, SpinQuantum
+from .spin_basis import AtomicDensityMatrix, DickeState, SpinQuantum
 
 __all__ = [
     "PulseStrength",
@@ -26,7 +28,6 @@ __all__ = [
     "apply_pulse",
     "default_n_max",
     "photon_distribution",
-    "photon_distribution_direct",
     "DistributionPeak",
     "distribution_peaks",
     "photon_moments_closed_form",
@@ -48,22 +49,27 @@ class PulseStrength:
 
 @dataclass(frozen=True)
 class JointState:
-    """Atom-field entangled state as per-M (amplitude, coherent alpha) pairs."""
+    """The atom-field state after a pulse: the atomic state before it, C and mu."""
 
-    spin: SpinQuantum
-    atomic_amplitudes: np.ndarray = field(repr=False)
-    field_alphas: np.ndarray = field(repr=False)
+    state: DickeState | AtomicDensityMatrix
+    c: float
+    mu: float = 1.0
 
-    def __post_init__(self):
-        a = np.asarray(self.atomic_amplitudes, dtype=complex)
-        al = np.asarray(self.field_alphas, dtype=complex)
-        if a.shape != (self.spin.dim,) or al.shape != (self.spin.dim,):
-            raise DomainError("branch arrays must have length 2S+1")
-        object.__setattr__(self, "atomic_amplitudes", a)
-        object.__setattr__(self, "field_alphas", al)
+    @property
+    def spin(self) -> SpinQuantum:
+        return self.state.spin
+
+    @property
+    def field_alphas(self) -> np.ndarray:
+        """Coherent amplitude -iC*M of each branch."""
+        return -1j * self.c * self.spin.m_values()
 
     def populations(self) -> np.ndarray:
-        return np.abs(self.atomic_amplitudes) ** 2
+        return self.state.populations()
+
+    def intensities(self) -> np.ndarray:
+        """Mean detected count lambda_M = mu (C M)^2 of each branch."""
+        return self.mu * (self.c * self.spin.m_values()) ** 2
 
 
 @dataclass(frozen=True)
@@ -79,14 +85,18 @@ class PhotonDistribution:
         object.__setattr__(self, "probabilities", p)
 
 
-def apply_pulse(state: DickeState, strength: PulseStrength | float) -> JointState:
-    """Entangle the atoms with the scattered mode: branch M gets alpha = -iC*M."""
+def apply_pulse(
+    state: DickeState | AtomicDensityMatrix,
+    strength: PulseStrength | float,
+    mu: float = 1.0,
+) -> JointState:
+    """Entangle the atoms with the scattered mode, detected at efficiency mu."""
     if not isinstance(strength, PulseStrength):
         strength = PulseStrength(float(strength))
+    if not 0.0 <= mu <= 1.0:
+        raise DomainError(f"detection efficiency must lie in [0,1], got {mu}")
     state.require_normalized()
-    m = state.spin.m_values()
-    alphas = -1j * strength.c * m
-    return JointState(state.spin, state.amplitudes.copy(), alphas)
+    return JointState(state, strength.c, mu)
 
 
 def default_n_max(c: float, s: float) -> int:
@@ -110,42 +120,20 @@ def _log_poisson_matrix(intensities: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDistribution:
-    """Exact photon-number law of the scattered mode: a Poisson mixture.
+    """Exact detected-count law of the scattered mode: a Poisson mixture.
 
-    P(n) = sum_M |a_M|^2 e^{-|alpha_M|^2} |alpha_M|^{2n} / n!, each term
-    evaluated in log space.
+    P(n) = sum_M rho_MM e^{-lambda_M} lambda_M^n / n!, each term evaluated
+    in log space.
     """
+    intensities = state.intensities()
     if n_max is None:
-        n_max = default_n_max(float(np.max(np.abs(state.field_alphas))), 1.0)
+        n_max = default_n_max(float(np.sqrt(np.max(intensities))), 1.0)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    weights = state.populations()
-    intensities = np.abs(state.field_alphas) ** 2
     n = np.arange(n_max + 1)
-    probs = weights @ np.exp(_log_poisson_matrix(intensities, n))
+    probs = state.populations() @ np.exp(_log_poisson_matrix(intensities, n))
     tail = 1.0 - float(probs.sum())
     return PhotonDistribution(probabilities=probs, n_max=n_max, tail_mass=tail)
-
-
-def photon_distribution_direct(state: JointState, n_max: int) -> PhotonDistribution:
-    """Term-by-term linear-space evaluation of the same mixture formula.
-
-    Redundant with photon_distribution by construction; kept as a second code
-    path for the consistency tests.
-    """
-    weights = state.populations()
-    intensities = np.abs(state.field_alphas) ** 2
-    probs = np.zeros(n_max + 1)
-    for w, lam in zip(weights, intensities):
-        if lam == 0.0:
-            probs[0] += w
-            continue
-        term = math.exp(-lam)
-        probs[0] += w * term
-        for n in range(1, n_max + 1):
-            term *= lam / n
-            probs[n] += w * term
-    return PhotonDistribution(probabilities=probs, n_max=n_max, tail_mass=1.0 - probs.sum())
 
 
 @dataclass(frozen=True)

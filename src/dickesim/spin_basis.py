@@ -1,10 +1,15 @@
 """Collective spin states in the Dicke basis.
 
 States of N_a two-level atoms restricted to the fully symmetric subspace are
-stored as complex amplitude vectors over the S_z eigenvalues M = -S..S with
-S = N_a/2.  All spin quantum numbers are carried internally as doubled
-integers (S_twice, M_twice) so half-integer values never touch floating
-point; the public API accepts the atom count N_a.
+stored over the S_z eigenvalues M = -S..S with S = N_a/2: a pure state as a
+complex amplitude vector, a mixed state as a dense density matrix.  All spin
+quantum numbers are carried internally as doubled integers (S_twice,
+M_twice) so half-integer values never touch floating point; the public API
+accepts the atom count N_a.
+
+The spin components couple M only to M and M +- 1, so every first and
+second spin moment needs only the diagonals k = 0, 1, 2 of the state; both
+state types expose them through `diagonal(k)`.
 """
 
 from __future__ import annotations
@@ -14,18 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ContractViolationError, DomainError, SingularStateError
+from .errors import ContractViolationError, DomainError
 
 NORM_TOL = 1e-9
 
 __all__ = [
     "SpinQuantum",
     "DickeState",
+    "AtomicDensityMatrix",
     "SpinMoments",
     "log_binomial_amplitude",
     "initial_coherent_spin_state",
     "spin_moments",
-    "squeezing_parameter",
     "mean_spin_with_decay",
 ]
 
@@ -85,11 +90,57 @@ class DickeState:
             raise DomainError("cannot normalize the zero vector")
         return DickeState(self.spin, self.amplitudes / n)
 
+    def diagonal(self, k: int) -> np.ndarray:
+        """rho[M, M+k] = a_M conj(a_{M+k}) for M = -S..S-k."""
+        a = self.amplitudes
+        return a[: a.size - k] * a[k:].conj()
+
     def require_normalized(self, tol: float = NORM_TOL) -> None:
         if abs(self.norm_sq - 1.0) > tol:
             raise ContractViolationError(
                 f"state norm^2 = {self.norm_sq} deviates from 1 by more than {tol}"
             )
+
+
+@dataclass(frozen=True)
+class AtomicDensityMatrix:
+    """Mixed atomic state rho[M,N] over the Dicke basis."""
+
+    spin: SpinQuantum
+    rho: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        rho = np.asarray(self.rho, dtype=complex)
+        if rho.shape != (self.spin.dim, self.spin.dim):
+            raise DomainError(f"rho has shape {rho.shape}, expected square of dim {self.spin.dim}")
+        object.__setattr__(self, "rho", rho)
+
+    @classmethod
+    def from_pure(cls, state: DickeState) -> "AtomicDensityMatrix":
+        a = state.amplitudes
+        return cls(state.spin, np.outer(a, a.conj()))
+
+    def populations(self) -> np.ndarray:
+        return np.real(np.diag(self.rho))
+
+    def diagonal(self, k: int) -> np.ndarray:
+        """rho[M, M+k] for M = -S..S-k."""
+        return np.diagonal(self.rho, k)
+
+    def trace(self) -> float:
+        return float(np.real(np.trace(self.rho)))
+
+    def require_normalized(self, tol: float = NORM_TOL) -> None:
+        if abs(self.trace() - 1.0) > tol:
+            raise ContractViolationError(
+                f"trace {self.trace()} deviates from 1 by more than {tol}"
+            )
+
+    def hermiticity_defect(self) -> float:
+        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
+
+    def min_eigenvalue(self) -> float:
+        return float(np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2)[0])
 
 
 @dataclass(frozen=True)
@@ -100,6 +151,8 @@ class SpinMoments:
     var_sz: float
     var_sy: float
     mean_spin_length: float
+    var_perp: float | None
+    xi: float | None
 
 
 def log_binomial_amplitude(s_twice: int, m_twice: int) -> float:
@@ -142,136 +195,58 @@ def initial_coherent_spin_state(n_atoms: int) -> DickeState:
     return DickeState(spin, binomial_amplitudes(spin).astype(complex))
 
 
-def _apply_sp(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
-    """S_+ |psi> in the amplitude representation."""
-    m = spin.m_values()
-    s = spin.s
-    out = np.zeros_like(amps)
-    # S_+|S,M> = sqrt(S(S+1) - M(M+1)) |S,M+1>
-    c = np.sqrt(np.maximum(s * (s + 1) - m[:-1] * (m[:-1] + 1), 0.0))
-    out[1:] = c * amps[:-1]
-    return out
+def spin_moments(state: DickeState | AtomicDensityMatrix) -> SpinMoments:
+    """Every first and second moment of the collective spin, and xi.
 
-
-def _apply_sm(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
-    m = spin.m_values()
-    s = spin.s
-    out = np.zeros_like(amps)
-    c = np.sqrt(np.maximum(s * (s + 1) - m[1:] * (m[1:] - 1), 0.0))
-    out[:-1] = c * amps[1:]
-    return out
-
-
-def apply_sx(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
-    return 0.5 * (_apply_sp(spin, amps) + _apply_sm(spin, amps))
-
-
-def apply_sy(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
-    return -0.5j * (_apply_sp(spin, amps) - _apply_sm(spin, amps))
-
-
-def apply_sz(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
-    return spin.m_values() * amps
-
-
-def spin_moments(state: DickeState) -> SpinMoments:
-    """First and second moments of the collective spin components."""
+    With S_+|M> = c_M |M+1>, three band sums carry everything beyond the
+    populations: <S_+> = sum c_M rho[M,M+1], <{S_+,S_z}> = sum (2M+1) c_M
+    rho[M,M+1] and <S_+^2> = sum c_M c_{M+1} rho[M,M+2].  Then
+    S_x^2 + S_y^2 = S(S+1) - S_z^2 and S_+^2 = S_x^2 - S_y^2 + i{S_x,S_y}
+    give the x-y block of the second moments.  xi = sqrt(2S) dS_perp/|<S>|
+    uses the smaller principal variance orthogonal to the mean spin; it and
+    var_perp are None when the mean spin vanishes.
+    """
     state.require_normalized()
-    spin = state.spin
-    a = state.amplitudes
-    m = spin.m_values()
-    pop = np.abs(a) ** 2
-
+    s = state.spin.s
+    m = state.spin.m_values()
+    pop = np.real(state.diagonal(0))
+    ladder = np.sqrt(np.maximum(s * (s + 1) - m[:-1] * (m[:-1] + 1), 0.0))
+    band1 = state.diagonal(1)
+    sp = complex(np.sum(ladder * band1))
+    sp_sz = complex(np.sum((2.0 * m[:-1] + 1.0) * ladder * band1))
+    sp2 = complex(np.sum(ladder[:-1] * ladder[1:] * state.diagonal(2)))
     mean_sz = float(np.sum(m * pop))
-    var_sz = float(np.sum(m * m * pop) - mean_sz**2)
-
-    sp_exp = complex(np.vdot(a, _apply_sp(spin, a)))
-    mean_sx = sp_exp.real
-    mean_sy = sp_exp.imag
-
-    sy_a = apply_sy(spin, a)
-    var_sy = float(np.real(np.vdot(sy_a, sy_a)) - mean_sy**2)
-
-    length = float(np.sqrt(mean_sx**2 + mean_sy**2 + mean_sz**2))
-    return SpinMoments(
-        mean_sx=mean_sx,
-        mean_sy=mean_sy,
-        mean_sz=mean_sz,
-        var_sz=max(var_sz, 0.0),
-        var_sy=max(var_sy, 0.0),
-        mean_spin_length=length,
+    sz2 = float(np.sum(m * m * pop))
+    transverse = s * (s + 1) - sz2
+    mean = np.array([sp.real, sp.imag, mean_sz])
+    second = 0.5 * np.array(
+        [
+            [transverse + sp2.real, sp2.imag, sp_sz.real],
+            [sp2.imag, transverse - sp2.real, sp_sz.imag],
+            [sp_sz.real, sp_sz.imag, 2.0 * sz2],
+        ]
     )
-
-
-def _orthogonal_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two unit vectors orthogonal to `direction` and to each other."""
-    seed = np.array([0.0, 0.0, 1.0])
-    if abs(np.dot(seed, direction)) > 0.9:
-        seed = np.array([0.0, 1.0, 0.0])
-    e1 = seed - np.dot(seed, direction) * direction
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(direction, e1)
-    return e1, e2
-
-
-def min_orthogonal_variance(state: DickeState) -> float:
-    """Smallest principal variance of the spin components orthogonal to <S>.
-
-    Built from the 2x2 covariance matrix of the two orthogonal components.
-    For all the states produced in this package (mean spin along x) this
-    coincides with the S_z variance.
-    """
-    state.require_normalized()
-    spin = state.spin
-    a = state.amplitudes
-    mom = spin_moments(state)
-    mean_vec = np.array([mom.mean_sx, mom.mean_sy, mom.mean_sz])
-    length = np.linalg.norm(mean_vec)
-    if length < 1e-9:
-        raise SingularStateError("mean spin vanishes; orthogonal frame undefined")
-    direction = mean_vec / length
-    e1, e2 = _orthogonal_frame(direction)
-
-    def project(e):
-        return e[0] * apply_sx(spin, a) + e[1] * apply_sy(spin, a) + e[2] * apply_sz(spin, a)
-
-    w1, w2 = project(e1), project(e2)
-    m1 = float(np.real(np.vdot(a, w1)))
-    m2 = float(np.real(np.vdot(a, w2)))
-    v11 = float(np.real(np.vdot(w1, w1))) - m1 * m1
-    v22 = float(np.real(np.vdot(w2, w2))) - m2 * m2
-    v12 = float(np.real(np.vdot(w1, w2))) - m1 * m2
-    cov = np.array([[v11, v12], [v12, v22]])
-    return float(max(np.linalg.eigvalsh(cov)[0], 0.0))
-
-
-def squeezing_parameter(state: DickeState) -> float:
-    """xi = sqrt(2S) * dS_perp / |<S>|, subunitary for squeezed states.
-
-    dS_perp is the smaller principal standard deviation orthogonal to the
-    mean spin.  Undefined (raises) when the mean spin vanishes.
-    """
-    spin = state.spin
-    mom = spin_moments(state)
-    if mom.mean_spin_length < 1e-9:
-        raise SingularStateError("squeezing parameter undefined for zero mean spin")
-    var_perp = min_orthogonal_variance(state)
-    return float(np.sqrt(2.0 * spin.s) * np.sqrt(var_perp) / mom.mean_spin_length)
-
-
-def spin_matrices(spin: SpinQuantum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (S_x, S_y, S_z) matrices in the M = -S..S basis."""
-    dim = spin.dim
-    m = spin.m_values()
-    s = spin.s
-    sz = np.diag(m).astype(complex)
-    sp = np.zeros((dim, dim), dtype=complex)
-    c = np.sqrt(np.maximum(s * (s + 1) - m[:-1] * (m[:-1] + 1), 0.0))
-    sp[np.arange(1, dim), np.arange(dim - 1)] = c
-    sm = sp.conj().T
-    sx = 0.5 * (sp + sm)
-    sy = -0.5j * (sp - sm)
-    return sx, sy, sz
+    cov = second - np.outer(mean, mean)
+    length = float(np.linalg.norm(mean))
+    var_perp = xi = None
+    if length >= 1e-9:
+        u = mean / length
+        seed = np.array([0.0, 1.0, 0.0] if abs(u[2]) > 0.9 else [0.0, 0.0, 1.0])
+        e1 = seed - (seed @ u) * u
+        e1 /= np.linalg.norm(e1)
+        frame = np.array([e1, np.cross(u, e1)])
+        var_perp = max(float(np.linalg.eigvalsh(frame @ cov @ frame.T)[0]), 0.0)
+        xi = float(np.sqrt(2.0 * s) * np.sqrt(var_perp) / length)
+    return SpinMoments(
+        mean_sx=float(mean[0]),
+        mean_sy=float(mean[1]),
+        mean_sz=mean_sz,
+        var_sz=max(float(cov[2, 2]), 0.0),
+        var_sy=max(float(cov[1, 1]), 0.0),
+        mean_spin_length=length,
+        var_perp=var_perp,
+        xi=xi,
+    )
 
 
 def mean_spin_with_decay(bare_mean_sx: float, c_spon: float) -> float:

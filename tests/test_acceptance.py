@@ -11,13 +11,12 @@ from scipy.optimize import minimize_scalar
 from scipy.stats import chisquare
 
 from dickesim import (
-    DetectionOutcome,
+    AtomicDensityMatrix,
     PulseSpec,
     apply_pulse,
-    collapse_imperfect,
-    collapse_perfect,
+    collapse,
     initial_coherent_spin_state,
-    null_probability,
+    log_outcome_probability,
     optimal_strength,
     photon_distribution,
     photon_moments_closed_form,
@@ -26,11 +25,9 @@ from dickesim import (
     sample_outcome,
     spin_moments,
     squeezing_with_decay,
-    variance_sz_from_rho,
 )
 from dickesim.cat_analysis import cat_coherence, null_width, peak_report
-from dickesim.detection import AtomicDensityMatrix, _rho_xi
-from dickesim.fock_oracle import oracle_evolve, oracle_project
+from dickesim.fock_oracle import oracle_evolve, oracle_project, oracle_sequence
 from dickesim.physical_params import (
     SPON_COUPLING_CONSTANT,
     derive_strengths,
@@ -39,6 +36,7 @@ from dickesim.physical_params import (
 from dickesim.pulse_scattering import distribution_peaks
 
 from conftest import consistent_config
+from reference_paths import assert_equal_up_to_phase
 
 
 def test_photon_statistics_peaks():
@@ -76,23 +74,34 @@ def test_oracle_equivalence(n_atoms, c):
     for n_m in range(9):
         if marginal[n_m] <= 1e-12:
             continue
-        fast = collapse_perfect(joint, n_m)
+        fast = collapse(joint, n_m)
         brute = oracle_project(oracle, n_m)
-        assert np.max(np.abs(np.abs(fast.amplitudes) - np.abs(brute.amplitudes))) <= 1e-8
+        assert_equal_up_to_phase(fast.amplitudes, brute.amplitudes, atol=1e-8)
+
+
+def test_mixed_trajectory_matches_oracle():
+    """Three forced mu < 1 pulses at N_a = 6 agree with the beam-splitter oracle."""
+    state = initial_coherent_spin_state(6)
+    pulses = [(1.0, 0.7, 2), (0.8, 0.5, 1), (1.2, 0.9, 3)]
+    run = run_trajectory(
+        state, [PulseSpec(c=c, mu=mu, force_n=n) for c, mu, n in pulses], seed=0
+    )
+    brute = oracle_sequence(state, pulses)
+    assert np.max(np.abs(run.final_state.rho - brute.rho)) <= 1e-12
 
 
 def test_null_measurement():
     """Zero detected photons sharply narrows the S_z distribution."""
     state = initial_coherent_spin_state(20)
-    collapsed = collapse_perfect(apply_pulse(state, 3.0), 0)
+    collapsed = collapse(apply_pulse(state, 3.0), 0)
     assert spin_moments(collapsed).var_sz < 5.0
 
     big = initial_coherent_spin_state(400)
     for c in (1.0, 2.0):
-        width = null_width(collapse_perfect(apply_pulse(big, c), 0))
+        width = null_width(collapse(apply_pulse(big, c), 0))
         assert abs(width - 1.0 / c) <= 0.25 / c
 
-    p0 = null_probability(apply_pulse(state, 50.0))
+    p0 = math.exp(log_outcome_probability(apply_pulse(state, 50.0), 0))
     expected = math.sqrt(2.0 / (math.pi * 20))
     assert abs(p0 - expected) <= 0.02 * expected
 
@@ -118,7 +127,7 @@ def test_decay_optimum(n_atoms, d_res):
 def test_cat_structure():
     """A nonzero count collapses to two lobes at M = +-sqrt(n_m)/C, none at 0."""
     state = initial_coherent_spin_state(20)
-    collapsed = collapse_perfect(apply_pulse(state, 3.0), 30)
+    collapsed = collapse(apply_pulse(state, 3.0), 30)
     pops = collapsed.populations()
     m = state.spin.m_values()
     center = 10
@@ -154,22 +163,21 @@ def test_inefficiency():
     grid = np.arange(0.25, 5.0 + 1e-9, 0.25)
     xis = []
     for c in grid:
-        dm = collapse_imperfect(apply_pulse(state, c), DetectionOutcome(n_m=0, mu=0.85))
-        xis.append(_rho_xi(dm))
+        xis.append(spin_moments(collapse(apply_pulse(state, c, 0.85), 0)).xi)
     k = int(np.argmin(xis))
     assert 0 < k < grid.size - 1
     assert 1.5 <= grid[k] <= 3.0
 
+    dense = AtomicDensityMatrix.from_pure(state)
     for n_m in (0, 30):
-        joint = apply_pulse(state, 3.0)
-        dm = collapse_imperfect(joint, DetectionOutcome(n_m=n_m, mu=1.0))
-        pure = AtomicDensityMatrix.from_pure(collapse_perfect(joint, n_m))
+        dm = collapse(apply_pulse(dense, 3.0), n_m)
+        pure = AtomicDensityMatrix.from_pure(collapse(apply_pulse(state, 3.0), n_m))
         assert np.max(np.abs(dm.rho - pure.rho)) <= 1e-10
 
     coherences = []
     for c in (1.0, 1.5, 2.0, 2.5, 3.0):
         n_m = round(4 * c * c)  # keeps the lobes at M = +-2
-        dm = collapse_imperfect(apply_pulse(state, c), DetectionOutcome(n_m=n_m, mu=0.85))
+        dm = collapse(apply_pulse(state, c, 0.85), n_m)
         coherences.append(cat_coherence(dm, 2))
     assert all(a > b for a, b in zip(coherences, coherences[1:]))
 

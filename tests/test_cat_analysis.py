@@ -11,10 +11,10 @@ from dickesim.cat_analysis import (
     null_width,
     peak_report,
 )
-from dickesim.detection import AtomicDensityMatrix, DetectionOutcome, collapse_imperfect, collapse_perfect
+from dickesim.detection import collapse
 from dickesim.errors import DomainError, ShapeError
 from dickesim.pulse_scattering import apply_pulse
-from dickesim.spin_basis import DickeState, SpinQuantum, initial_coherent_spin_state
+from dickesim.spin_basis import AtomicDensityMatrix, SpinQuantum, initial_coherent_spin_state
 
 
 class TestPeakLocation:
@@ -32,7 +32,7 @@ class TestPeakLocation:
 
     def test_matches_lattice_maximum(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
-        pops = collapse_perfect(joint, 30).populations()
+        pops = collapse(joint, 30).populations()
         m = joint.spin.m_values()
         lattice_peak = abs(m[int(np.argmax(pops))])
         assert round(cat_peak_location(3.0, 30)) == lattice_peak == 2
@@ -73,7 +73,7 @@ class TestNullWidth:
 
     @pytest.mark.parametrize("c", [1.0, 2.0])
     def test_null_collapse_width_scales_as_inverse_c(self, c):
-        collapsed = collapse_perfect(apply_pulse(initial_coherent_spin_state(400), c), 0)
+        collapsed = collapse(apply_pulse(initial_coherent_spin_state(400), c), 0)
         assert null_width(collapsed) == pytest.approx(1.0 / c, rel=0.05)
 
     def test_odd_atom_number_rejected(self):
@@ -81,7 +81,7 @@ class TestNullWidth:
             null_width(initial_coherent_spin_state(5))
 
     def test_cat_state_rejected(self):
-        cat = collapse_perfect(apply_pulse(initial_coherent_spin_state(20), 3.0), 30)
+        cat = collapse(apply_pulse(initial_coherent_spin_state(20), 3.0), 30)
         with pytest.raises(ShapeError):
             null_width(cat)
 
@@ -110,20 +110,19 @@ class TestCatSqueezing:
 class TestCatCoherence:
     def test_pure_balanced_cat_is_one(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
-        dm = AtomicDensityMatrix.from_pure(collapse_perfect(joint, 36))
+        dm = AtomicDensityMatrix.from_pure(collapse(joint, 36))
         assert cat_coherence(dm, 2) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("mu", [0.3, 0.6, 0.9])
     def test_lossy_detection_coherence_value(self, mu):
         c, m_arm = 1.5, 2
-        joint = apply_pulse(initial_coherent_spin_state(20), c)
-        dm = collapse_imperfect(joint, DetectionOutcome(n_m=9, mu=mu))
+        dm = collapse(apply_pulse(initial_coherent_spin_state(20), c, mu), 9)
         expected = math.exp(-2.0 * (1.0 - mu) * c * c * m_arm * m_arm)
         assert cat_coherence(dm, m_arm) == pytest.approx(expected, rel=1e-10)
 
     def test_domain_errors(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
-        dm = AtomicDensityMatrix.from_pure(collapse_perfect(joint, 36))
+        dm = AtomicDensityMatrix.from_pure(collapse(joint, 36))
         with pytest.raises(DomainError):
             cat_coherence(dm, 0)
         with pytest.raises(DomainError):

@@ -1,18 +1,24 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import dickesim
+
 CLI = [sys.executable, "-m", "dickesim.cli"]
+# the child interpreter imports the same dickesim as these tests
+SRC = str(Path(dickesim.__file__).resolve().parent.parent)
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(args, cwd=None):
     return subprocess.run(
-        CLI + args, capture_output=True, text=True, cwd=cwd
+        CLI + args, capture_output=True, text=True, cwd=cwd, env=ENV
     )
 
 

@@ -3,32 +3,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dickesim.detection import (
-    AtomicDensityMatrix,
-    DetectionOutcome,
     PulseSpec,
-    _rho_xi,
-    collapse_imperfect,
-    collapse_perfect,
+    collapse,
     log_outcome_probability,
-    null_probability,
     run_trajectory,
     sample_outcome,
-    variance_sz_from_rho,
 )
 from dickesim.errors import ConditioningError, DomainError
 from dickesim.pulse_scattering import apply_pulse, photon_distribution
-from dickesim.spin_basis import initial_coherent_spin_state, spin_moments
+from dickesim.spin_basis import AtomicDensityMatrix, DickeState, initial_coherent_spin_state, spin_moments
+
+from reference_paths import photon_distribution_direct
+
+
+def _rho(state):
+    if isinstance(state, DickeState):
+        return AtomicDensityMatrix.from_pure(state).rho
+    return state.rho
 
 
 class TestDetectionOutcome:
     def test_validation(self):
+        joint = apply_pulse(initial_coherent_spin_state(4), 1.0)
         with pytest.raises(DomainError):
-            DetectionOutcome(n_m=-1)
+            collapse(joint, -1)
         with pytest.raises(DomainError):
-            DetectionOutcome(n_m=0, mu=1.5)
-        assert DetectionOutcome(n_m=3, mu=0.5).mu == 0.5
+            apply_pulse(initial_coherent_spin_state(4), 1.0, mu=1.5)
+        assert apply_pulse(initial_coherent_spin_state(4), 1.0, mu=0.5).mu == 0.5
 
 
 class TestOutcomeProbability:
@@ -42,11 +47,25 @@ class TestOutcomeProbability:
                     dist.probabilities[n_m], rel=1e-10
                 )
 
+    @pytest.mark.parametrize("mu", [0.0, 0.4, 0.9])
+    def test_matches_tabulated_law_at_inefficient_detection(self, mu):
+        state = collapse(apply_pulse(initial_coherent_spin_state(20), 1.0, 0.7), 3)
+        joint = apply_pulse(state, 2.0, mu)
+        dist = photon_distribution(joint, 200)
+        for n_m in (0, 1, 4, 20, 75):
+            if dist.probabilities[n_m] > 1e-250:
+                assert math.exp(log_outcome_probability(joint, n_m)) == pytest.approx(
+                    dist.probabilities[n_m], rel=1e-10
+                )
+
     def test_null_probability_consistency(self):
-        joint = apply_pulse(initial_coherent_spin_state(20), 2.0)
-        assert null_probability(joint) == pytest.approx(
-            math.exp(log_outcome_probability(joint, 0)), rel=1e-12
-        )
+        # P(0) = sum_M rho_MM e^{-mu (C M)^2}
+        state = initial_coherent_spin_state(20)
+        m = state.spin.m_values()
+        for mu in (1.0, 0.3):
+            joint = apply_pulse(state, 2.0, mu)
+            p0 = float(np.sum(state.populations() * np.exp(-mu * (2.0 * m) ** 2)))
+            assert math.exp(log_outcome_probability(joint, 0)) == pytest.approx(p0, rel=1e-12)
 
     def test_negative_count_rejected(self):
         joint = apply_pulse(initial_coherent_spin_state(4), 1.0)
@@ -58,7 +77,7 @@ class TestCollapsePerfect:
     def test_null_outcome_gaussian_reweighting(self):
         state = initial_coherent_spin_state(20)
         joint = apply_pulse(state, 1.0)
-        collapsed = collapse_perfect(joint, 0)
+        collapsed = collapse(joint, 0)
         m = state.spin.m_values()
         expected = state.amplitudes.real * np.exp(-0.5 * m**2)
         expected /= np.linalg.norm(expected)
@@ -66,70 +85,74 @@ class TestCollapsePerfect:
 
     def test_odd_outcome_kills_central_component(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
-        collapsed = collapse_perfect(joint, 1)
+        collapsed = collapse(joint, 1)
         assert collapsed.amplitudes[10] == 0.0
 
     def test_symmetric_populations(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
-        pops = collapse_perfect(joint, 30).populations()
+        pops = collapse(joint, 30).populations()
         np.testing.assert_allclose(pops, pops[::-1], atol=1e-12)
 
     def test_impossible_outcome_rejected(self):
         joint = apply_pulse(initial_coherent_spin_state(4), 0.0)
         with pytest.raises(ConditioningError):
-            collapse_perfect(joint, 5)
+            collapse(joint, 5)
 
     def test_large_count_stays_finite(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
-        collapsed = collapse_perfect(joint, 900)
+        collapsed = collapse(joint, 900)
         assert abs(collapsed.norm_sq - 1.0) < 1e-9
         pops = collapsed.populations()
         assert pops[0] + pops[-1] == pytest.approx(1.0, abs=1e-6)  # lobes at M = +-10
 
+    def test_pure_state_stays_pure_only_at_full_efficiency(self):
+        state = initial_coherent_spin_state(6)
+        assert isinstance(collapse(apply_pulse(state, 1.0), 2), DickeState)
+        assert isinstance(collapse(apply_pulse(state, 1.0, 0.9), 2), AtomicDensityMatrix)
+        dm = AtomicDensityMatrix.from_pure(state)
+        assert isinstance(collapse(apply_pulse(dm, 1.0), 2), AtomicDensityMatrix)
+
 
 class TestCollapseImperfect:
     def test_perfect_efficiency_reduces_to_pure_projector(self):
-        joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
+        state = initial_coherent_spin_state(20)
+        dense = AtomicDensityMatrix.from_pure(state)
         for n_m in (0, 1, 30):
-            dm = collapse_imperfect(joint, DetectionOutcome(n_m=n_m, mu=1.0))
-            pure = AtomicDensityMatrix.from_pure(collapse_perfect(joint, n_m))
+            dm = collapse(apply_pulse(dense, 3.0), n_m)
+            pure = AtomicDensityMatrix.from_pure(collapse(apply_pulse(state, 3.0), n_m))
             assert np.max(np.abs(dm.rho - pure.rho)) <= 1e-12
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.85, 1.0])
     def test_density_matrix_health(self, mu):
-        joint = apply_pulse(initial_coherent_spin_state(20), 2.0)
-        dm = collapse_imperfect(joint, DetectionOutcome(n_m=4, mu=mu))
+        state = AtomicDensityMatrix.from_pure(initial_coherent_spin_state(20))
+        dm = collapse(apply_pulse(state, 2.0, mu), 4 if mu > 0 else 0)
         assert dm.trace() == pytest.approx(1.0, abs=1e-10)
         assert dm.hermiticity_defect() <= 1e-12
         assert dm.min_eigenvalue() >= -1e-10
 
     def test_zero_efficiency_null_keeps_prior_populations(self):
         state = initial_coherent_spin_state(20)
-        joint = apply_pulse(state, 2.0)
-        dm = collapse_imperfect(joint, DetectionOutcome(n_m=0, mu=0.0))
+        dm = collapse(apply_pulse(state, 2.0, 0.0), 0)
         np.testing.assert_allclose(dm.populations(), state.populations(), atol=1e-12)
-        assert variance_sz_from_rho(dm) == pytest.approx(5.0, rel=1e-10)
+        assert spin_moments(dm).var_sz == pytest.approx(5.0, rel=1e-10)
 
     def test_lower_efficiency_means_weaker_conditioning(self):
-        joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
-        var_perfect = variance_sz_from_rho(
-            collapse_imperfect(joint, DetectionOutcome(n_m=0, mu=1.0))
-        )
-        var_lossy = variance_sz_from_rho(
-            collapse_imperfect(joint, DetectionOutcome(n_m=0, mu=0.85))
-        )
+        state = initial_coherent_spin_state(20)
+        var_perfect = spin_moments(collapse(apply_pulse(state, 3.0, 1.0), 0)).var_sz
+        var_lossy = spin_moments(collapse(apply_pulse(state, 3.0, 0.85), 0)).var_sz
         assert var_perfect < var_lossy < 5.0
 
     def test_impossible_outcome_rejected(self):
-        joint = apply_pulse(initial_coherent_spin_state(4), 0.0)
+        state = initial_coherent_spin_state(4)
         with pytest.raises(ConditioningError):
-            collapse_imperfect(joint, DetectionOutcome(n_m=5, mu=0.5))
+            collapse(apply_pulse(state, 0.0, 0.5), 5)
+        with pytest.raises(ConditioningError):
+            collapse(apply_pulse(state, 1.0, 0.0), 1)  # nothing is ever detected
 
     def test_off_diagonal_decay_factor(self):
         # rho[M,-M] / sqrt(rho[M,M] rho[-M,-M]) = exp(-2 (1-mu) C^2 M^2)
         c, mu = 1.5, 0.6
-        joint = apply_pulse(initial_coherent_spin_state(8), c)
-        dm = collapse_imperfect(joint, DetectionOutcome(n_m=2, mu=mu))
+        dm = collapse(apply_pulse(initial_coherent_spin_state(8), c, mu), 2)
         center = 4
         for m in (1, 2):
             i, j = center + m, center - m
@@ -137,6 +160,19 @@ class TestCollapseImperfect:
                 dm.rho[i, i].real * dm.rho[j, j].real
             )
             assert ratio == pytest.approx(math.exp(-2 * (1 - mu) * c * c * m * m), rel=1e-10)
+
+    def test_matches_closed_form_kernel(self):
+        # rho'_MN propto rho_MN (C^2 M N)^n exp[(1-mu) C^2 M N - C^2 (M^2 + N^2) / 2]
+        c, mu, n_m = 0.8, 0.55, 3
+        state = collapse(apply_pulse(initial_coherent_spin_state(10), 1.1, 0.7), 2)
+        m = state.spin.m_values()
+        mn = np.outer(m, m)
+        sq = (m**2)[:, None] + (m**2)[None, :]
+        kernel = (c * c * mn) ** n_m * np.exp((1 - mu) * c * c * mn - 0.5 * c * c * sq)
+        expected = state.rho * kernel
+        expected /= np.trace(expected).real
+        got = collapse(apply_pulse(state, c, mu), n_m).rho
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
 class TestSampling:
@@ -232,6 +268,53 @@ class TestTrajectory:
         for dist in run.distributions:
             assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-8)
 
+    def test_sampled_count_at_inefficient_detection_follows_detected_law(self):
+        # N_a = 20, C = 1, mu = 0.5: mean detected count mu C^2 N_a / 4 = 2.5
+        state = initial_coherent_spin_state(20)
+        counts = np.array(
+            [
+                run_trajectory(state, [PulseSpec(c=1.0, mu=0.5)], seed=seed).record.pulses[0].n_m
+                for seed in range(2000)
+            ]
+        )
+        stderr = counts.std(ddof=1) / math.sqrt(counts.size)
+        assert abs(counts.mean() - 2.5) < 5 * stderr
+
+    def test_collected_distribution_is_detected_count_law(self):
+        state = initial_coherent_spin_state(20)
+        pulses = [PulseSpec(c=1.0, mu=0.5, force_n=2), PulseSpec(c=1.5, mu=0.7, force_n=4)]
+        run = run_trajectory(state, pulses, seed=0, collect_distributions=True)
+        before = [state, collapse(apply_pulse(state, 1.0, 0.5), 2)]
+        for dist, prior, spec in zip(run.distributions, before, pulses):
+            want = photon_distribution_direct(apply_pulse(prior, spec.c, spec.mu), dist.n_max)
+            np.testing.assert_allclose(dist.probabilities, want.probabilities, rtol=0, atol=1e-13)
+        n = np.arange(run.distributions[0].n_max + 1)
+        assert n @ run.distributions[0].probabilities == pytest.approx(2.5, rel=1e-10)
+
+    @given(
+        st.integers(min_value=1, max_value=10),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.1, max_value=1.5),
+                st.floats(min_value=0.05, max_value=1.0),
+                st.integers(min_value=0, max_value=4),
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_forced_outcomes_commute(self, n_atoms, pulses, random):
+        # each forced outcome multiplies rho entrywise, and Schur products commute
+        specs = [PulseSpec(c=c, mu=mu, force_n=n) for c, mu, n in pulses]
+        shuffled = list(specs)
+        random.shuffle(shuffled)
+        state = initial_coherent_spin_state(n_atoms)
+        first = run_trajectory(state, specs, seed=0).final_state
+        second = run_trajectory(state, shuffled, seed=0).final_state
+        np.testing.assert_allclose(_rho(first), _rho(second), rtol=0, atol=1e-12)
+
     def test_pulse_spec_validation(self):
         with pytest.raises(DomainError):
             PulseSpec(c=-1.0)
@@ -243,17 +326,14 @@ class TestTrajectory:
 
 class TestRhoXi:
     def test_matches_pure_squeezing_for_projector(self):
-        from dickesim.spin_basis import squeezing_parameter
-
-        joint = apply_pulse(initial_coherent_spin_state(20), 0.5)
-        collapsed = collapse_perfect(joint, 0)
-        xi_pure = squeezing_parameter(collapsed)
-        xi_rho = _rho_xi(AtomicDensityMatrix.from_pure(collapsed))
-        assert xi_rho == pytest.approx(xi_pure, rel=1e-8)
+        collapsed = collapse(apply_pulse(initial_coherent_spin_state(20), 0.5), 0)
+        xi_pure = spin_moments(collapsed).xi
+        xi_rho = spin_moments(AtomicDensityMatrix.from_pure(collapsed)).xi
+        assert xi_rho == pytest.approx(xi_pure, rel=1e-12)
         assert xi_rho < 1.0  # a null outcome squeezes the state
 
     def test_vanishing_mean_spin_returns_none(self):
         spin_state = initial_coherent_spin_state(4)
         rho = np.zeros((5, 5), dtype=complex)
         rho[0, 0] = rho[4, 4] = 0.5  # balanced M = +-2 mixture
-        assert _rho_xi(AtomicDensityMatrix(spin_state.spin, rho)) is None
+        assert spin_moments(AtomicDensityMatrix(spin_state.spin, rho)).xi is None

@@ -5,12 +5,16 @@ from dickesim.errors import ConditioningError, DomainError
 from dickesim.fock_oracle import (
     TruncatedJointState,
     min_fock_dim,
+    oracle_detect,
     oracle_evolve,
     oracle_project,
+    oracle_sequence,
 )
 from dickesim.pulse_scattering import apply_pulse, photon_distribution
-from dickesim.detection import collapse_perfect
-from dickesim.spin_basis import SpinQuantum, initial_coherent_spin_state
+from dickesim.detection import collapse
+from dickesim.spin_basis import AtomicDensityMatrix, SpinQuantum, initial_coherent_spin_state
+
+from reference_paths import assert_equal_up_to_phase
 
 
 class TestEvolution:
@@ -67,10 +71,8 @@ class TestProjection:
         fast_joint = apply_pulse(state, 1.0)
         for n_m in range(6):
             brute = oracle_project(joint, n_m)
-            fast = collapse_perfect(fast_joint, n_m)
-            np.testing.assert_allclose(
-                np.abs(brute.amplitudes), np.abs(fast.amplitudes), atol=1e-12
-            )
+            fast = collapse(fast_joint, n_m)
+            assert_equal_up_to_phase(fast.amplitudes, brute.amplitudes, atol=1e-12)
 
     def test_projection_is_normalized(self):
         joint = oracle_evolve(initial_coherent_spin_state(6), 0.7)
@@ -87,6 +89,39 @@ class TestProjection:
         joint = oracle_evolve(initial_coherent_spin_state(4), 0.0)
         with pytest.raises(ConditioningError):
             oracle_project(joint, 3)
+
+
+class TestDetection:
+    def test_full_efficiency_keeps_only_the_detected_column(self):
+        joint = oracle_evolve(initial_coherent_spin_state(4), 0.9)
+        vectors = oracle_detect(joint, 2, 1.0)
+        np.testing.assert_array_equal(vectors[:, 0], joint.amplitudes[:, 2])
+        assert np.max(np.abs(vectors[:, 1:])) == 0.0
+
+    def test_thinning_conserves_probability(self):
+        # summed over detected counts, the thinned columns keep every photon branch
+        joint = oracle_evolve(initial_coherent_spin_state(4), 0.9)
+        total = sum(
+            np.sum(np.abs(oracle_detect(joint, n, 0.6)) ** 2) for n in range(joint.fock_dim)
+        )
+        assert total == pytest.approx(joint.norm_sq(), abs=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.45, 1.0])
+    def test_single_pulse_matches_kernel(self, mu):
+        state = initial_coherent_spin_state(6)
+        n_m = 0 if mu == 0.0 else 2
+        brute = oracle_sequence(state, [(1.0, mu, n_m)])
+        fast = collapse(apply_pulse(AtomicDensityMatrix.from_pure(state), 1.0, mu), n_m)
+        np.testing.assert_allclose(brute.rho, fast.rho, rtol=0, atol=1e-12)
+
+    def test_validation(self):
+        joint = oracle_evolve(initial_coherent_spin_state(4), 0.5)
+        with pytest.raises(DomainError):
+            oracle_detect(joint, 1, 1.5)
+        with pytest.raises(DomainError):
+            oracle_detect(joint, joint.fock_dim, 0.5)
+        with pytest.raises(ConditioningError):
+            oracle_sequence(initial_coherent_spin_state(4), [(0.0, 0.5, 2)])
 
 
 class TestTruncatedJointState:

@@ -13,11 +13,17 @@ from dickesim.pulse_scattering import (
     distribution_peaks,
     faraday_variance_operator,
     photon_distribution,
-    photon_distribution_direct,
     photon_moments_closed_form,
     photon_moments_numeric,
 )
-from dickesim.spin_basis import DickeState, SpinQuantum, initial_coherent_spin_state
+from dickesim.spin_basis import (
+    AtomicDensityMatrix,
+    DickeState,
+    SpinQuantum,
+    initial_coherent_spin_state,
+)
+
+from reference_paths import photon_distribution_direct
 
 
 class TestPulseStrength:
@@ -36,14 +42,25 @@ class TestApplyPulse:
         state = initial_coherent_spin_state(6)
         joint = apply_pulse(state, 0.0)
         np.testing.assert_array_equal(joint.field_alphas, np.zeros(7))
-        np.testing.assert_array_equal(joint.atomic_amplitudes, state.amplitudes)
+        np.testing.assert_array_equal(joint.populations(), state.populations())
 
     def test_two_atom_branches(self):
         joint = apply_pulse(initial_coherent_spin_state(2), 1.0)
-        np.testing.assert_allclose(
-            joint.atomic_amplitudes.real, [0.5, math.sqrt(2) / 2, 0.5], atol=1e-14
-        )
+        np.testing.assert_allclose(joint.populations(), [0.25, 0.5, 0.25], atol=1e-14)
         np.testing.assert_allclose(joint.field_alphas, [1j, 0.0, -1j], atol=1e-14)
+
+    def test_detected_intensities_scale_with_efficiency(self):
+        joint = apply_pulse(initial_coherent_spin_state(8), 0.7, mu=0.4)
+        np.testing.assert_allclose(
+            joint.intensities(), 0.4 * np.abs(joint.field_alphas) ** 2, rtol=1e-15
+        )
+        assert apply_pulse(initial_coherent_spin_state(8), 0.7).mu == 1.0
+
+    def test_efficiency_outside_unit_interval_rejected(self):
+        state = initial_coherent_spin_state(4)
+        for mu in (-0.1, 1.5):
+            with pytest.raises(DomainError):
+                apply_pulse(state, 1.0, mu)
 
     def test_alpha_proportional_to_m(self):
         joint = apply_pulse(initial_coherent_spin_state(8), 0.7)
@@ -66,6 +83,21 @@ class TestPhotonDistribution:
         fast = photon_distribution(joint, n_max)
         direct = photon_distribution_direct(joint, n_max)
         np.testing.assert_allclose(fast.probabilities, direct.probabilities, atol=1e-12)
+
+    @pytest.mark.parametrize("mu", [0.0, 0.3, 0.85])
+    def test_detected_count_law_matches_direct_evaluation(self, mu):
+        joint = apply_pulse(initial_coherent_spin_state(10), 1.0, mu)
+        fast = photon_distribution(joint, 60)
+        direct = photon_distribution_direct(joint, 60)
+        np.testing.assert_allclose(fast.probabilities, direct.probabilities, atol=1e-14)
+        mean, _ = photon_moments_numeric(fast)
+        assert mean == pytest.approx(mu * 10 / 4, abs=1e-12)  # mu C^2 N_a / 4
+
+    def test_density_matrix_gives_the_same_law(self):
+        state = initial_coherent_spin_state(12)
+        pure = photon_distribution(apply_pulse(state, 1.3, 0.6))
+        mixed = photon_distribution(apply_pulse(AtomicDensityMatrix.from_pure(state), 1.3, 0.6))
+        np.testing.assert_allclose(mixed.probabilities, pure.probabilities, rtol=1e-13, atol=0)
 
     def test_normalization_and_tail(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)

@@ -6,22 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim.errors import ContractViolationError, DomainError, SingularStateError
+from dickesim.errors import ContractViolationError, DomainError
 from dickesim.spin_basis import (
+    AtomicDensityMatrix,
     DickeState,
     SpinQuantum,
-    apply_sx,
-    apply_sy,
-    apply_sz,
     binomial_amplitudes,
     initial_coherent_spin_state,
     log_binomial_amplitude,
     mean_spin_with_decay,
-    min_orthogonal_variance,
-    spin_matrices,
     spin_moments,
-    squeezing_parameter,
 )
+
+from reference_paths import apply_sx, apply_sy, apply_sz, dense_xi, spin_matrices
 
 
 class TestSpinQuantum:
@@ -170,20 +167,62 @@ class TestSqueezing:
     def test_coherent_state_is_unity(self):
         for n_atoms in (2, 20, 100):
             state = initial_coherent_spin_state(n_atoms)
-            assert squeezing_parameter(state) == pytest.approx(1.0, rel=1e-10)
+            assert spin_moments(state).xi == pytest.approx(1.0, rel=1e-10)
 
     def test_min_orthogonal_variance_coherent(self):
         state = initial_coherent_spin_state(20)
-        assert min_orthogonal_variance(state) == pytest.approx(5.0, rel=1e-10)
+        assert spin_moments(state).var_perp == pytest.approx(5.0, rel=1e-10)
 
-    def test_zero_mean_spin_raises(self):
+    def test_zero_mean_spin_has_no_xi(self):
         spin = SpinQuantum(2)
         amps = np.zeros(3, dtype=complex)
         amps[1] = 1.0  # the pure M = 0 state has no mean spin
-        with pytest.raises(SingularStateError):
-            squeezing_parameter(DickeState(spin, amps))
-        with pytest.raises(SingularStateError):
-            min_orthogonal_variance(DickeState(spin, amps))
+        mom = spin_moments(DickeState(spin, amps))
+        assert mom.xi is None and mom.var_perp is None
+
+
+def _random_state(pure: bool, n_atoms: int, seed: int):
+    """(state, dense rho): a random complex pure state or a random full-rank density matrix."""
+    rng = np.random.default_rng(seed)
+    spin = SpinQuantum(n_atoms)
+    if pure:
+        amps = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
+        state = DickeState(spin, amps / np.linalg.norm(amps))
+        return state, AtomicDensityMatrix.from_pure(state).rho
+    g = rng.normal(size=(spin.dim, spin.dim)) + 1j * rng.normal(size=(spin.dim, spin.dim))
+    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    return AtomicDensityMatrix(spin, rho), rho
+
+
+class TestBandedMoments:
+    @given(
+        st.booleans(),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_operator_products(self, pure, n_atoms, seed):
+        state, rho = _random_state(pure, n_atoms, seed)
+        sx, sy, sz = spin_matrices(state.spin)
+        mom = spin_moments(state)
+
+        def expect(op):
+            return float(np.real(np.trace(rho @ op)))
+
+        assert mom.mean_sx == pytest.approx(expect(sx), rel=1e-10, abs=1e-12)
+        assert mom.mean_sy == pytest.approx(expect(sy), rel=1e-10, abs=1e-12)
+        assert mom.mean_sz == pytest.approx(expect(sz), rel=1e-10, abs=1e-12)
+        assert mom.var_sz == pytest.approx(expect(sz @ sz) - expect(sz) ** 2, rel=1e-10, abs=1e-12)
+        assert mom.var_sy == pytest.approx(expect(sy @ sy) - expect(sy) ** 2, rel=1e-10, abs=1e-12)
+        want = dense_xi(state.spin, rho)
+        if want is None:
+            assert mom.xi is None
+        else:
+            assert mom.xi == pytest.approx(want, rel=1e-10)
+
+    def test_unnormalized_density_matrix_rejected(self):
+        with pytest.raises(ContractViolationError):
+            spin_moments(AtomicDensityMatrix(SpinQuantum(2), np.eye(3)))
 
 
 class TestDecay:
