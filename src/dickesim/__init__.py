@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 from .spin_basis import (
     SpinQuantum,
     DickeState,
-    AtomicDensityMatrix,
     SpinMoments,
-    log_binomial_amplitude,
     initial_coherent_spin_state,
     spin_moments,
     mean_spin_with_decay,

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import bisect
 
 from .errors import DomainError, ShapeError
-from .spin_basis import AtomicDensityMatrix, DickeState
+from .spin_basis import DickeState
 
 __all__ = [
     "PeakReport",
@@ -117,20 +117,19 @@ def cat_squeezing_xi_x(n_atoms: int, c: float, n_m: int) -> float:
     return math.sqrt(n_m / (s * c * c))
 
 
-def cat_coherence(dm: AtomicDensityMatrix, m_arm: int) -> float:
+def cat_coherence(state: DickeState, m_arm: int) -> float:
     """|rho[M,-M]| / sqrt(rho[M,M] rho[-M,-M]) for lobes at M = +/- m_arm.
 
-    1 for a pure balanced cat, tending to 0 for a classical mixture.
+    That is exp(-2 Gamma m_arm^2) for dephasing Gamma: 1 for a pure cat,
+    tending to 0 for a classical mixture.
     """
-    spin = dm.spin
+    spin = state.spin
     if spin.s_twice % 2 != 0:
         raise DomainError("integer arm positions require an even atom number")
     if not 0 < m_arm <= spin.s_twice // 2:
         raise DomainError(f"arm M={m_arm} outside lattice 1..{spin.s_twice // 2}")
     center = spin.s_twice // 2
-    i, j = center + m_arm, center - m_arm
-    p_plus = float(np.real(dm.rho[i, i]))
-    p_minus = float(np.real(dm.rho[j, j]))
-    if p_plus <= 1e-300 or p_minus <= 1e-300:
+    pop = state.populations()
+    if pop[center + m_arm] <= 1e-300 or pop[center - m_arm] <= 1e-300:
         raise DomainError("vanishing arm population; coherence undefined")
-    return float(abs(dm.rho[i, j]) / math.sqrt(p_plus * p_minus))
+    return math.exp(-2.0 * state.dephasing * m_arm * m_arm)

@@ -279,7 +279,6 @@ def squeeze_scan(
     grid = np.arange(c_min, c_max + 0.5 * c_step, c_step)
     if grid.size == 0:
         raise click.UsageError("empty strength grid")
-    out_dir = _common_out(out)
 
     columns: list[str] = ["C"]
     series: list[np.ndarray] = [grid]
@@ -305,6 +304,8 @@ def squeeze_scan(
         state = initial_coherent_spin_state(n_atoms)
         xis = [spin_moments(collapse(apply_pulse(state, c, mu), 0)).xi for c in grid]
         xi_mu = np.array([math.nan if xi is None else xi for xi in xis])
+        if all(xi is None for xi in xis):
+            raise DomainError("xi is undefined at every strength: no mean spin survives")
         columns.append("xi_inefficiency" if d_res is not None else "xi")
         series.append(xi_mu)
         k = int(np.nanargmin(xi_mu))
@@ -313,6 +314,7 @@ def squeeze_scan(
             "argmin_C": float(grid[k]),
             "min_xi": float(xi_mu[k]),
         }
+    out_dir = _common_out(out)
     rows = [tuple(float(col[i]) for col in series) for i in range(grid.size)]
     table = _emit_table(out_dir / "squeeze_scan", rows, tuple(columns), fmt)
     sidecar = out_dir / "squeeze_scan_summary.json"

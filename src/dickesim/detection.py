@@ -8,8 +8,9 @@ by the Schur kernel
          = k_M k_N exp[-(1 - mu) C^2 (M - N)^2 / 2],
     k_M  = (C M)^n exp(-mu C^2 M^2 / 2),
 
-and normalising by the trace.  At mu = 1 the kernel is rank one, so a pure
-state stays pure: its amplitudes are multiplied by k_M.  The trace of the
+and normalising by the trace.  So a state rho_MN = a_M conj(a_N)
+exp[-Gamma (M - N)^2 / 2] keeps that form, with a -> k a and Gamma -> Gamma
++ (1 - mu) C^2; at mu = 1 a pure state stays pure.  The trace of the
 conditioned state is P(n) n!/mu^n, so the outcome probability and the
 collapse share one sum.
 """
@@ -21,12 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
 from .errors import ConditioningError, DomainError
 from .pulse_scattering import JointState, PhotonDistribution, apply_pulse, photon_distribution
-from .spin_basis import AtomicDensityMatrix, DickeState, spin_moments
+from .spin_basis import DickeState, spin_moments
 
 LOG_PROB_FLOOR = math.log(1e-300)
 
@@ -73,28 +73,19 @@ def log_outcome_probability(joint: JointState, n_m: int) -> float:
     return _kernel_diagonal(joint, n_m)[2]
 
 
-def collapse(joint: JointState, n_m: int) -> DickeState | AtomicDensityMatrix:
+def collapse(joint: JointState, n_m: int) -> DickeState:
     """Condition the atoms on n_m detected photons.
 
-    A pure state at mu = 1 stays a DickeState; anything else is returned as
-    an AtomicDensityMatrix.  Raises ConditioningError when P(n_m) < 1e-300.
+    The amplitudes become k * a / sqrt(t) and the dephasing grows by
+    (1 - mu) C^2.  Raises ConditioningError when P(n_m) < 1e-300.
     """
     k, t, log_p = _kernel_diagonal(joint, n_m)
     if log_p < LOG_PROB_FLOOR:
         raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
     state = joint.state
-    if isinstance(state, DickeState):
-        ka = k * state.amplitudes
-        if joint.mu == 1.0:
-            return DickeState(state.spin, ka / math.sqrt(t))
-        rho = np.outer(ka, ka.conj())
-    else:
-        rho = k[:, None] * state.rho * k[None, :]
-    if joint.mu < 1.0:
-        # exp[-(1 - mu) C^2 (M - N)^2 / 2] depends on M - N only
-        gap = np.arange(state.spin.dim)
-        rho *= toeplitz(np.exp(-0.5 * (1.0 - joint.mu) * joint.c**2 * gap**2))
-    return AtomicDensityMatrix(state.spin, rho / t)
+    ka = k * state.amplitudes
+    dephasing = state.dephasing + (1.0 - joint.mu) * joint.c * joint.c
+    return DickeState(state.spin, ka / math.sqrt(t), dephasing)
 
 
 def sample_outcome(joint: JointState, rng: np.random.Generator) -> int:
@@ -166,7 +157,7 @@ class TrajectoryRecord:
 @dataclass(frozen=True)
 class TrajectoryRun:
     record: TrajectoryRecord
-    final_state: DickeState | AtomicDensityMatrix
+    final_state: DickeState
     distributions: tuple[PhotonDistribution, ...] | None = None
 
 
@@ -178,8 +169,8 @@ def run_trajectory(
 ) -> TrajectoryRun:
     """Run a sequence of pulses with Born-sampled (or forced) outcomes.
 
-    The state stays a DickeState while every detection so far was perfect
-    and becomes an AtomicDensityMatrix at the first mu < 1 pulse.  With
+    Each mu < 1 pulse adds (1 - mu) C^2 to the dephasing of the state; the
+    state stays pure while every detection so far was perfect.  With
     collect_distributions, the detected-count law of every pulse is recorded
     before its outcome.
     """
@@ -187,7 +178,7 @@ def run_trajectory(
     rng = np.random.default_rng(seed)
     results: list[PulseResult] = []
     dists: list[PhotonDistribution] = []
-    state: DickeState | AtomicDensityMatrix = initial
+    state = initial
 
     for idx, spec in enumerate(pulses):
         joint = apply_pulse(state, spec.c, spec.mu)

@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln, xlogy
 
 from .errors import ConditioningError, DomainError, TruncationError
-from .spin_basis import AtomicDensityMatrix, DickeState, SpinQuantum
+from .spin_basis import DickeState, SpinQuantum
 
 __all__ = ["TruncatedJointState", "oracle_evolve", "oracle_project", "oracle_detect", "oracle_sequence"]
 
@@ -72,6 +72,8 @@ def oracle_evolve(state: DickeState, c: float, fock_dim: int | None = None) -> T
     """Apply exp[-iC M (c^dag + c)] per column by dense matrix exponentiation."""
     if c < 0:
         raise DomainError(f"pulse strength must be >= 0, got {c}")
+    if state.dephasing != 0.0:
+        raise DomainError("oracle_evolve needs a pure state (dephasing 0)")
     spin = state.spin
     if spin.s > MAX_ORACLE_S:
         raise DomainError(f"oracle is desk-scale only: S = {spin.s} > {MAX_ORACLE_S}")
@@ -136,8 +138,8 @@ def oracle_detect(joint: TruncatedJointState, n_m: int, mu: float) -> np.ndarray
     return joint.amplitudes[:, n_m:] * np.exp(0.5 * log_weight)[None, :]
 
 
-def oracle_sequence(state: DickeState, pulses: list[tuple[float, float, int]]) -> AtomicDensityMatrix:
-    """Condition `state` on the detected counts of pulses (C, mu, n_m) in turn.
+def oracle_sequence(state: DickeState, pulses: list[tuple[float, float, int]]) -> np.ndarray:
+    """Dense rho of `state` conditioned on the detected counts of pulses (C, mu, n_m) in turn.
 
     Each ensemble vector is evolved by oracle_evolve and split by
     oracle_detect.  Between pulses the ensemble W is replaced by R^dag from
@@ -159,4 +161,4 @@ def oracle_sequence(state: DickeState, pulses: list[tuple[float, float, int]]) -
             raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
         vectors = np.linalg.qr(stacked.conj().T, mode="r").conj().T
         vectors /= np.linalg.norm(vectors)
-    return AtomicDensityMatrix(spin, vectors @ vectors.conj().T)
+    return vectors @ vectors.conj().T

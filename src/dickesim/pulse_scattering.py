@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, TruncationError
-from .spin_basis import AtomicDensityMatrix, DickeState, SpinQuantum
+from .spin_basis import DickeState, SpinQuantum
 
 __all__ = [
     "PulseStrength",
@@ -51,7 +51,7 @@ class PulseStrength:
 class JointState:
     """The atom-field state after a pulse: the atomic state before it, C and mu."""
 
-    state: DickeState | AtomicDensityMatrix
+    state: DickeState
     c: float
     mu: float = 1.0
 
@@ -86,7 +86,7 @@ class PhotonDistribution:
 
 
 def apply_pulse(
-    state: DickeState | AtomicDensityMatrix,
+    state: DickeState,
     strength: PulseStrength | float,
     mu: float = 1.0,
 ) -> JointState:

@@ -1,19 +1,19 @@
 """Collective spin states in the Dicke basis.
 
 States of N_a two-level atoms restricted to the fully symmetric subspace are
-stored over the S_z eigenvalues M = -S..S with S = N_a/2: a pure state as a
-complex amplitude vector, a mixed state as a dense density matrix.  All spin
-quantum numbers are carried internally as doubled integers (S_twice,
-M_twice) so half-integer values never touch floating point; the public API
-accepts the atom count N_a.
+stored over the S_z eigenvalues M = -S..S with S = N_a/2 as amplitudes a_M
+and a dephasing Gamma: rho_MN = a_M conj(a_N) exp[-Gamma (M - N)^2 / 2].
+All spin quantum numbers are carried internally as doubled integers
+(S_twice, M_twice) so half-integer values never touch floating point; the
+public API accepts the atom count N_a.
 
 The spin components couple M only to M and M +- 1, so every first and
-second spin moment needs only the diagonals k = 0, 1, 2 of the state; both
-state types expose them through `diagonal(k)`.
+second spin moment needs only the diagonals `diagonal(k)`, k = 0, 1, 2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +26,7 @@ NORM_TOL = 1e-9
 __all__ = [
     "SpinQuantum",
     "DickeState",
-    "AtomicDensityMatrix",
     "SpinMoments",
-    "log_binomial_amplitude",
     "initial_coherent_spin_state",
     "spin_moments",
     "mean_spin_with_decay",
@@ -64,10 +62,15 @@ class SpinQuantum:
 
 @dataclass(frozen=True)
 class DickeState:
-    """Pure symmetric state; amplitudes[k] belongs to M = -S + k."""
+    """rho_MN = a_M conj(a_N) exp[-dephasing (M - N)^2 / 2]; amplitudes[k] is a at M = -S + k.
+
+    dephasing = 0 is a pure state.  rho is Hermitian and positive semidefinite
+    by the Schur product theorem (a projector times a Gaussian kernel).
+    """
 
     spin: SpinQuantum
     amplitudes: np.ndarray = field(repr=False)
+    dephasing: float = 0.0
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -75,7 +78,10 @@ class DickeState:
             raise DomainError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.spin.dim},)"
             )
+        if not math.isfinite(self.dephasing) or self.dephasing < 0.0:
+            raise DomainError(f"dephasing must be finite and >= 0, got {self.dephasing}")
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "dephasing", float(self.dephasing))
 
     @property
     def norm_sq(self) -> float:
@@ -88,59 +94,18 @@ class DickeState:
         n = np.sqrt(self.norm_sq)
         if n == 0.0:
             raise DomainError("cannot normalize the zero vector")
-        return DickeState(self.spin, self.amplitudes / n)
+        return DickeState(self.spin, self.amplitudes / n, self.dephasing)
 
     def diagonal(self, k: int) -> np.ndarray:
-        """rho[M, M+k] = a_M conj(a_{M+k}) for M = -S..S-k."""
+        """rho[M, M+k] = a_M conj(a_{M+k}) exp(-dephasing k^2 / 2) for M = -S..S-k."""
         a = self.amplitudes
-        return a[: a.size - k] * a[k:].conj()
+        return a[: a.size - k] * a[k:].conj() * math.exp(-0.5 * self.dephasing * k * k)
 
     def require_normalized(self, tol: float = NORM_TOL) -> None:
         if abs(self.norm_sq - 1.0) > tol:
             raise ContractViolationError(
                 f"state norm^2 = {self.norm_sq} deviates from 1 by more than {tol}"
             )
-
-
-@dataclass(frozen=True)
-class AtomicDensityMatrix:
-    """Mixed atomic state rho[M,N] over the Dicke basis."""
-
-    spin: SpinQuantum
-    rho: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (self.spin.dim, self.spin.dim):
-            raise DomainError(f"rho has shape {rho.shape}, expected square of dim {self.spin.dim}")
-        object.__setattr__(self, "rho", rho)
-
-    @classmethod
-    def from_pure(cls, state: DickeState) -> "AtomicDensityMatrix":
-        a = state.amplitudes
-        return cls(state.spin, np.outer(a, a.conj()))
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.rho))
-
-    def diagonal(self, k: int) -> np.ndarray:
-        """rho[M, M+k] for M = -S..S-k."""
-        return np.diagonal(self.rho, k)
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.rho)))
-
-    def require_normalized(self, tol: float = NORM_TOL) -> None:
-        if abs(self.trace() - 1.0) > tol:
-            raise ContractViolationError(
-                f"trace {self.trace()} deviates from 1 by more than {tol}"
-            )
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.rho - self.rho.conj().T)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh((self.rho + self.rho.conj().T) / 2)[0])
 
 
 @dataclass(frozen=True)
@@ -153,25 +118,6 @@ class SpinMoments:
     mean_spin_length: float
     var_perp: float | None
     xi: float | None
-
-
-def log_binomial_amplitude(s_twice: int, m_twice: int) -> float:
-    """ln A(S,M) with A(S,M) = 2^-S sqrt((2S)! / ((S+M)!(S-M)!)).
-
-    Evaluated through log-gamma so exp(result) stays finite up to N_a ~ 1e6.
-    """
-    if s_twice < 0:
-        raise DomainError(f"negative total spin: s_twice={s_twice}")
-    if abs(m_twice) > s_twice:
-        raise DomainError(f"|M| > S: m_twice={m_twice}, s_twice={s_twice}")
-    if (s_twice - m_twice) % 2 != 0:
-        raise DomainError(f"M parity does not match S: m_twice={m_twice}, s_twice={s_twice}")
-    s_plus_m = (s_twice + m_twice) // 2
-    s_minus_m = (s_twice - m_twice) // 2
-    return float(
-        -0.5 * s_twice * np.log(2.0)
-        + 0.5 * (gammaln(s_twice + 1) - gammaln(s_plus_m + 1) - gammaln(s_minus_m + 1))
-    )
 
 
 def binomial_amplitudes(spin: SpinQuantum) -> np.ndarray:
@@ -195,7 +141,7 @@ def initial_coherent_spin_state(n_atoms: int) -> DickeState:
     return DickeState(spin, binomial_amplitudes(spin).astype(complex))
 
 
-def spin_moments(state: DickeState | AtomicDensityMatrix) -> SpinMoments:
+def spin_moments(state: DickeState) -> SpinMoments:
     """Every first and second moment of the collective spin, and xi.
 
     With S_+|M> = c_M |M+1>, three band sums carry everything beyond the

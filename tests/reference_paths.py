@@ -1,9 +1,11 @@
 """Second code paths that exist only to check the library.
 
 Dense spin matrices, ladder operators applied to amplitude vectors, the
-term-by-term photon law and the dense operator-product squeezing parameter.
-None of this is on a library path; the tests compare the library's banded
-and log-space routines against it.
+dense density matrix of a state and the closed-form dense conditioning
+kernel, the scalar log-binomial amplitude, the term-by-term photon law and
+the dense operator-product squeezing parameter.
+None of this is on a library path; the tests compare the library's banded,
+vectorised and log-space routines against it.
 """
 
 from __future__ import annotations
@@ -11,9 +13,44 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaln
 
+from dickesim.errors import DomainError
 from dickesim.pulse_scattering import JointState, PhotonDistribution
-from dickesim.spin_basis import SpinQuantum
+from dickesim.spin_basis import DickeState, SpinQuantum
+
+
+def dense_rho(state: DickeState) -> np.ndarray:
+    """rho_MN = a_M conj(a_N) exp[-dephasing (M - N)^2 / 2] as a full matrix."""
+    a = state.amplitudes
+    m = state.spin.m_values()
+    gap = m[:, None] - m[None, :]
+    return np.outer(a, a.conj()) * np.exp(-0.5 * state.dephasing * gap**2)
+
+
+def kernel_collapse_dense(rho: np.ndarray, spin: SpinQuantum, c: float, mu: float, n_m: int) -> np.ndarray:
+    """rho'_MN propto rho_MN (C^2 M N)^n exp[(1-mu) C^2 M N - C^2 (M^2 + N^2) / 2], trace 1."""
+    m = spin.m_values()
+    mn = np.outer(m, m)
+    sq = (m**2)[:, None] + (m**2)[None, :]
+    out = rho * (c * c * mn) ** n_m * np.exp((1 - mu) * c * c * mn - 0.5 * c * c * sq)
+    return out / np.trace(out).real
+
+
+def log_binomial_amplitude(s_twice: int, m_twice: int) -> float:
+    """ln A(S,M) with A(S,M) = 2^-S sqrt((2S)! / ((S+M)!(S-M)!)), one entry at a time."""
+    if s_twice < 0:
+        raise DomainError(f"negative total spin: s_twice={s_twice}")
+    if abs(m_twice) > s_twice:
+        raise DomainError(f"|M| > S: m_twice={m_twice}, s_twice={s_twice}")
+    if (s_twice - m_twice) % 2 != 0:
+        raise DomainError(f"M parity does not match S: m_twice={m_twice}, s_twice={s_twice}")
+    s_plus_m = (s_twice + m_twice) // 2
+    s_minus_m = (s_twice - m_twice) // 2
+    return float(
+        -0.5 * s_twice * np.log(2.0)
+        + 0.5 * (gammaln(s_twice + 1) - gammaln(s_plus_m + 1) - gammaln(s_minus_m + 1))
+    )
 
 
 def _apply_sp(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ from scipy.optimize import minimize_scalar
 from scipy.stats import chisquare
 
 from dickesim import (
-    AtomicDensityMatrix,
     PulseSpec,
     apply_pulse,
     collapse,
@@ -36,7 +35,7 @@ from dickesim.physical_params import (
 from dickesim.pulse_scattering import distribution_peaks
 
 from conftest import consistent_config
-from reference_paths import assert_equal_up_to_phase
+from reference_paths import assert_equal_up_to_phase, dense_rho, kernel_collapse_dense
 
 
 def test_photon_statistics_peaks():
@@ -87,7 +86,7 @@ def test_mixed_trajectory_matches_oracle():
         state, [PulseSpec(c=c, mu=mu, force_n=n) for c, mu, n in pulses], seed=0
     )
     brute = oracle_sequence(state, pulses)
-    assert np.max(np.abs(run.final_state.rho - brute.rho)) <= 1e-12
+    assert np.max(np.abs(dense_rho(run.final_state) - brute)) <= 1e-12
 
 
 def test_null_measurement():
@@ -168,11 +167,10 @@ def test_inefficiency():
     assert 0 < k < grid.size - 1
     assert 1.5 <= grid[k] <= 3.0
 
-    dense = AtomicDensityMatrix.from_pure(state)
     for n_m in (0, 30):
-        dm = collapse(apply_pulse(dense, 3.0), n_m)
-        pure = AtomicDensityMatrix.from_pure(collapse(apply_pulse(state, 3.0), n_m))
-        assert np.max(np.abs(dm.rho - pure.rho)) <= 1e-10
+        pure = dense_rho(collapse(apply_pulse(state, 3.0), n_m))
+        dense = kernel_collapse_dense(dense_rho(state), state.spin, 3.0, 1.0, n_m)
+        assert np.max(np.abs(dense - pure)) <= 1e-10
 
     coherences = []
     for c in (1.0, 1.5, 2.0, 2.5, 3.0):

@@ -14,7 +14,9 @@ from dickesim.cat_analysis import (
 from dickesim.detection import collapse
 from dickesim.errors import DomainError, ShapeError
 from dickesim.pulse_scattering import apply_pulse
-from dickesim.spin_basis import AtomicDensityMatrix, SpinQuantum, initial_coherent_spin_state
+from dickesim.spin_basis import DickeState, SpinQuantum, initial_coherent_spin_state
+
+from reference_paths import dense_rho
 
 
 class TestPeakLocation:
@@ -110,30 +112,32 @@ class TestCatSqueezing:
 class TestCatCoherence:
     def test_pure_balanced_cat_is_one(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
-        dm = AtomicDensityMatrix.from_pure(collapse(joint, 36))
-        assert cat_coherence(dm, 2) == pytest.approx(1.0, abs=1e-10)
+        assert cat_coherence(collapse(joint, 36), 2) == 1.0
 
     @pytest.mark.parametrize("mu", [0.3, 0.6, 0.9])
     def test_lossy_detection_coherence_value(self, mu):
         c, m_arm = 1.5, 2
-        dm = collapse(apply_pulse(initial_coherent_spin_state(20), c, mu), 9)
+        state = collapse(apply_pulse(initial_coherent_spin_state(20), c, mu), 9)
         expected = math.exp(-2.0 * (1.0 - mu) * c * c * m_arm * m_arm)
-        assert cat_coherence(dm, m_arm) == pytest.approx(expected, rel=1e-10)
+        assert cat_coherence(state, m_arm) == pytest.approx(expected, rel=1e-10)
+        rho = dense_rho(state)
+        i, j = 10 + m_arm, 10 - m_arm
+        ratio = abs(rho[i, j]) / math.sqrt(rho[i, i].real * rho[j, j].real)
+        assert cat_coherence(state, m_arm) == pytest.approx(ratio, rel=1e-12)
 
     def test_domain_errors(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
-        dm = AtomicDensityMatrix.from_pure(collapse(joint, 36))
+        state = collapse(joint, 36)
         with pytest.raises(DomainError):
-            cat_coherence(dm, 0)
+            cat_coherence(state, 0)
         with pytest.raises(DomainError):
-            cat_coherence(dm, 11)
-        odd = AtomicDensityMatrix(SpinQuantum(5), np.eye(6, dtype=complex) / 6)
+            cat_coherence(state, 11)
+        odd = DickeState(SpinQuantum(5), np.ones(6) / math.sqrt(6), 0.5)
         with pytest.raises(DomainError):
             cat_coherence(odd, 1)
 
     def test_vanishing_arm_population_rejected(self):
-        spin = SpinQuantum(4)
-        rho = np.zeros((5, 5), dtype=complex)
-        rho[2, 2] = 1.0  # all weight at M = 0
+        amps = np.zeros(5, dtype=complex)
+        amps[2] = 1.0  # all weight at M = 0
         with pytest.raises(DomainError):
-            cat_coherence(AtomicDensityMatrix(spin, rho), 1)
+            cat_coherence(DickeState(SpinQuantum(4), amps, 0.5), 1)

@@ -204,6 +204,17 @@ class TestSqueezeScan:
         summary = json.loads((tmp_path / "squeeze_scan_summary.json").read_text())
         assert 1.5 <= summary["inefficiency"]["argmin_C"] <= 3.0
 
+    def test_undefined_xi_at_every_strength_exits_2(self, tmp_path):
+        # at N_a = 2 a strong null outcome leaves only M = 0, which has no mean spin
+        out = tmp_path / "scan"
+        result = run_cli(
+            ["squeeze-scan", "-N", "2", "--mu", "0.5", "--c-min", "10", "--c-max", "10", "--c-step", "1", "--out", str(out)]
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "undefined at every strength" in result.stderr
+        assert not out.exists()
+
     def test_no_model_exits_1(self, tmp_path):
         result = run_cli(
             ["squeeze-scan", "-N", "20", "--c-min", "1", "--c-max", "2", "--c-step", "0.5", "--out", str(tmp_path)]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,15 +16,9 @@ from dickesim.detection import (
 )
 from dickesim.errors import ConditioningError, DomainError
 from dickesim.pulse_scattering import apply_pulse, photon_distribution
-from dickesim.spin_basis import AtomicDensityMatrix, DickeState, initial_coherent_spin_state, spin_moments
+from dickesim.spin_basis import DickeState, initial_coherent_spin_state, spin_moments
 
-from reference_paths import photon_distribution_direct
-
-
-def _rho(state):
-    if isinstance(state, DickeState):
-        return AtomicDensityMatrix.from_pure(state).rho
-    return state.rho
+from reference_paths import dense_rho, dense_xi, kernel_collapse_dense, photon_distribution_direct
 
 
 class TestDetectionOutcome:
@@ -107,28 +102,31 @@ class TestCollapsePerfect:
 
     def test_pure_state_stays_pure_only_at_full_efficiency(self):
         state = initial_coherent_spin_state(6)
-        assert isinstance(collapse(apply_pulse(state, 1.0), 2), DickeState)
-        assert isinstance(collapse(apply_pulse(state, 1.0, 0.9), 2), AtomicDensityMatrix)
-        dm = AtomicDensityMatrix.from_pure(state)
-        assert isinstance(collapse(apply_pulse(dm, 1.0), 2), AtomicDensityMatrix)
+        assert collapse(apply_pulse(state, 1.0), 2).dephasing == 0.0
+        for mu in (0.0, 0.5, 0.9, 1.0 - 1e-12):
+            n_m = 0 if mu == 0.0 else 2
+            assert collapse(apply_pulse(state, 1.0, mu), n_m).dephasing > 0.0
+        dephased = DickeState(state.spin, state.amplitudes, 0.3)
+        assert collapse(apply_pulse(dephased, 1.0), 2).dephasing == 0.3
 
 
 class TestCollapseImperfect:
     def test_perfect_efficiency_reduces_to_pure_projector(self):
-        state = initial_coherent_spin_state(20)
-        dense = AtomicDensityMatrix.from_pure(state)
-        for n_m in (0, 1, 30):
-            dm = collapse(apply_pulse(dense, 3.0), n_m)
-            pure = AtomicDensityMatrix.from_pure(collapse(apply_pulse(state, 3.0), n_m))
-            assert np.max(np.abs(dm.rho - pure.rho)) <= 1e-12
+        # at mu = 1 the dense kernel is the rank-one projector k k^T, also on a dephased state
+        pure = initial_coherent_spin_state(20)
+        for state in (pure, DickeState(pure.spin, pure.amplitudes, 0.4)):
+            for n_m in (0, 1, 30):
+                got = dense_rho(collapse(apply_pulse(state, 3.0), n_m))
+                want = kernel_collapse_dense(dense_rho(state), state.spin, 3.0, 1.0, n_m)
+                assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.85, 1.0])
     def test_density_matrix_health(self, mu):
-        state = AtomicDensityMatrix.from_pure(initial_coherent_spin_state(20))
-        dm = collapse(apply_pulse(state, 2.0, mu), 4 if mu > 0 else 0)
-        assert dm.trace() == pytest.approx(1.0, abs=1e-10)
-        assert dm.hermiticity_defect() <= 1e-12
-        assert dm.min_eigenvalue() >= -1e-10
+        state = collapse(apply_pulse(initial_coherent_spin_state(20), 1.0, 0.5), 2)
+        rho = dense_rho(collapse(apply_pulse(state, 2.0, mu), 4 if mu > 0 else 0))
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-10
 
     def test_zero_efficiency_null_keeps_prior_populations(self):
         state = initial_coherent_spin_state(20)
@@ -149,30 +147,39 @@ class TestCollapseImperfect:
         with pytest.raises(ConditioningError):
             collapse(apply_pulse(state, 1.0, 0.0), 1)  # nothing is ever detected
 
+    def test_overflowing_dephasing_is_a_domain_error(self):
+        # (1 - mu) C^2 overflows to inf: a DomainError (exit 2), not an OverflowError
+        state = initial_coherent_spin_state(20)
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            collapse(apply_pulse(state, 1e200, 0.5), 0)
+
     def test_off_diagonal_decay_factor(self):
         # rho[M,-M] / sqrt(rho[M,M] rho[-M,-M]) = exp(-2 (1-mu) C^2 M^2)
         c, mu = 1.5, 0.6
-        dm = collapse(apply_pulse(initial_coherent_spin_state(8), c, mu), 2)
+        rho = dense_rho(collapse(apply_pulse(initial_coherent_spin_state(8), c, mu), 2))
         center = 4
         for m in (1, 2):
             i, j = center + m, center - m
-            ratio = abs(dm.rho[i, j]) / math.sqrt(
-                dm.rho[i, i].real * dm.rho[j, j].real
-            )
+            ratio = abs(rho[i, j]) / math.sqrt(rho[i, i].real * rho[j, j].real)
             assert ratio == pytest.approx(math.exp(-2 * (1 - mu) * c * c * m * m), rel=1e-10)
 
     def test_matches_closed_form_kernel(self):
-        # rho'_MN propto rho_MN (C^2 M N)^n exp[(1-mu) C^2 M N - C^2 (M^2 + N^2) / 2]
         c, mu, n_m = 0.8, 0.55, 3
         state = collapse(apply_pulse(initial_coherent_spin_state(10), 1.1, 0.7), 2)
-        m = state.spin.m_values()
-        mn = np.outer(m, m)
-        sq = (m**2)[:, None] + (m**2)[None, :]
-        kernel = (c * c * mn) ** n_m * np.exp((1 - mu) * c * c * mn - 0.5 * c * c * sq)
-        expected = state.rho * kernel
-        expected /= np.trace(expected).real
-        got = collapse(apply_pulse(state, c, mu), n_m).rho
+        expected = kernel_collapse_dense(dense_rho(state), state.spin, c, mu, n_m)
+        got = dense_rho(collapse(apply_pulse(state, c, mu), n_m))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    def test_conditioning_memory_is_linear_in_dimension(self):
+        # a dense (2S+1)^2 complex rho at N_a = 4000 alone would take 256 MB
+        state = initial_coherent_spin_state(4000)
+        tracemalloc.start()
+        try:
+            spin_moments(collapse(apply_pulse(state, 0.1, 0.9), 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestSampling:
@@ -226,8 +233,8 @@ class TestTrajectory:
             [PulseSpec(c=1.0, mu=0.8, force_n=0), PulseSpec(c=1.0, force_n=0)],
             seed=0,
         )
-        assert isinstance(run.final_state, AtomicDensityMatrix)
-        assert run.final_state.trace() == pytest.approx(1.0, abs=1e-9)
+        assert run.final_state.dephasing == pytest.approx(0.2, rel=1e-12)
+        assert run.final_state.norm_sq == pytest.approx(1.0, abs=1e-9)
         assert run.record.pulses[1].post_var_sz < run.record.pulses[0].post_var_sz
 
     def test_mixed_path_agrees_with_pure_path_at_near_full_efficiency(self):
@@ -244,7 +251,7 @@ class TestTrajectory:
             [PulseSpec(c=1.0, mu=1.0 - 1e-12, force_n=0), PulseSpec(c=1.5, force_n=2)],
             seed=0,
         )
-        assert isinstance(mixed.final_state, AtomicDensityMatrix)
+        assert mixed.final_state.dephasing > 0.0
         assert mixed.record.pulses[1].post_var_sz == pytest.approx(
             pure.record.pulses[1].post_var_sz, rel=1e-6
         )
@@ -313,7 +320,7 @@ class TestTrajectory:
         state = initial_coherent_spin_state(n_atoms)
         first = run_trajectory(state, specs, seed=0).final_state
         second = run_trajectory(state, shuffled, seed=0).final_state
-        np.testing.assert_allclose(_rho(first), _rho(second), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense_rho(first), dense_rho(second), rtol=0, atol=1e-12)
 
     def test_pulse_spec_validation(self):
         with pytest.raises(DomainError):
@@ -328,12 +335,12 @@ class TestRhoXi:
     def test_matches_pure_squeezing_for_projector(self):
         collapsed = collapse(apply_pulse(initial_coherent_spin_state(20), 0.5), 0)
         xi_pure = spin_moments(collapsed).xi
-        xi_rho = spin_moments(AtomicDensityMatrix.from_pure(collapsed)).xi
+        xi_rho = dense_xi(collapsed.spin, dense_rho(collapsed))
         assert xi_rho == pytest.approx(xi_pure, rel=1e-12)
         assert xi_rho < 1.0  # a null outcome squeezes the state
 
     def test_vanishing_mean_spin_returns_none(self):
-        spin_state = initial_coherent_spin_state(4)
-        rho = np.zeros((5, 5), dtype=complex)
-        rho[0, 0] = rho[4, 4] = 0.5  # balanced M = +-2 mixture
-        assert spin_moments(AtomicDensityMatrix(spin_state.spin, rho)).xi is None
+        spin = initial_coherent_spin_state(4).spin
+        amps = np.zeros(5, dtype=complex)
+        amps[0] = amps[4] = math.sqrt(0.5)  # balanced M = +-2 cat: no mean spin
+        assert spin_moments(DickeState(spin, amps, 3.0)).xi is None

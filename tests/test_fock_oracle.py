@@ -12,9 +12,9 @@ from dickesim.fock_oracle import (
 )
 from dickesim.pulse_scattering import apply_pulse, photon_distribution
 from dickesim.detection import collapse
-from dickesim.spin_basis import AtomicDensityMatrix, SpinQuantum, initial_coherent_spin_state
+from dickesim.spin_basis import DickeState, SpinQuantum, initial_coherent_spin_state
 
-from reference_paths import assert_equal_up_to_phase
+from reference_paths import assert_equal_up_to_phase, dense_rho
 
 
 class TestEvolution:
@@ -58,6 +58,11 @@ class TestEvolution:
         state = initial_coherent_spin_state(4)
         with pytest.raises(DomainError):
             oracle_evolve(state, 1.0, fock_dim=min_fock_dim(1.0, 2.0) - 1)
+
+    def test_dephased_state_rejected(self):
+        state = initial_coherent_spin_state(4)
+        with pytest.raises(DomainError):
+            oracle_evolve(DickeState(state.spin, state.amplitudes, 0.5), 1.0)
 
     def test_negative_strength_rejected(self):
         with pytest.raises(DomainError):
@@ -111,8 +116,8 @@ class TestDetection:
         state = initial_coherent_spin_state(6)
         n_m = 0 if mu == 0.0 else 2
         brute = oracle_sequence(state, [(1.0, mu, n_m)])
-        fast = collapse(apply_pulse(AtomicDensityMatrix.from_pure(state), 1.0, mu), n_m)
-        np.testing.assert_allclose(brute.rho, fast.rho, rtol=0, atol=1e-12)
+        fast = collapse(apply_pulse(state, 1.0, mu), n_m)
+        np.testing.assert_allclose(brute, dense_rho(fast), rtol=0, atol=1e-12)
 
     def test_validation(self):
         joint = oracle_evolve(initial_coherent_spin_state(4), 0.5)

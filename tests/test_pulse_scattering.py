@@ -17,7 +17,6 @@ from dickesim.pulse_scattering import (
     photon_moments_numeric,
 )
 from dickesim.spin_basis import (
-    AtomicDensityMatrix,
     DickeState,
     SpinQuantum,
     initial_coherent_spin_state,
@@ -96,7 +95,7 @@ class TestPhotonDistribution:
     def test_density_matrix_gives_the_same_law(self):
         state = initial_coherent_spin_state(12)
         pure = photon_distribution(apply_pulse(state, 1.3, 0.6))
-        mixed = photon_distribution(apply_pulse(AtomicDensityMatrix.from_pure(state), 1.3, 0.6))
+        mixed = photon_distribution(apply_pulse(DickeState(state.spin, state.amplitudes, 0.8), 1.3, 0.6))
         np.testing.assert_allclose(mixed.probabilities, pure.probabilities, rtol=1e-13, atol=0)
 
     def test_normalization_and_tail(self):

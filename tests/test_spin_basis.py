@@ -8,17 +8,23 @@ from hypothesis import strategies as st
 
 from dickesim.errors import ContractViolationError, DomainError
 from dickesim.spin_basis import (
-    AtomicDensityMatrix,
     DickeState,
     SpinQuantum,
     binomial_amplitudes,
     initial_coherent_spin_state,
-    log_binomial_amplitude,
     mean_spin_with_decay,
     spin_moments,
 )
 
-from reference_paths import apply_sx, apply_sy, apply_sz, dense_xi, spin_matrices
+from reference_paths import (
+    apply_sx,
+    apply_sy,
+    apply_sz,
+    dense_rho,
+    dense_xi,
+    log_binomial_amplitude,
+    spin_matrices,
+)
 
 
 class TestSpinQuantum:
@@ -50,6 +56,20 @@ class TestDickeState:
         with pytest.raises(ContractViolationError):
             state.require_normalized()
         assert abs(state.normalized().norm_sq - 1.0) < 1e-14
+
+    def test_dephasing_must_be_finite_and_non_negative(self):
+        for bad in (-1e-3, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                DickeState(SpinQuantum(2), np.ones(3), bad)
+
+    def test_diagonals_and_normalization_carry_dephasing(self):
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=7) + 1j * rng.normal(size=7)
+        state = DickeState(SpinQuantum(6), amps, 0.7)
+        rho = dense_rho(state)
+        for k in range(7):
+            np.testing.assert_allclose(state.diagonal(k), np.diagonal(rho, k), rtol=1e-13, atol=0)
+        assert state.normalized().dephasing == 0.7
 
     def test_normalize_zero_vector_rejected(self):
         with pytest.raises(DomainError):
@@ -181,28 +201,20 @@ class TestSqueezing:
         assert mom.xi is None and mom.var_perp is None
 
 
-def _random_state(pure: bool, n_atoms: int, seed: int):
-    """(state, dense rho): a random complex pure state or a random full-rank density matrix."""
-    rng = np.random.default_rng(seed)
-    spin = SpinQuantum(n_atoms)
-    if pure:
-        amps = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
-        state = DickeState(spin, amps / np.linalg.norm(amps))
-        return state, AtomicDensityMatrix.from_pure(state).rho
-    g = rng.normal(size=(spin.dim, spin.dim)) + 1j * rng.normal(size=(spin.dim, spin.dim))
-    rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
-    return AtomicDensityMatrix(spin, rho), rho
-
-
 class TestBandedMoments:
     @given(
-        st.booleans(),
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5.0)),
         st.integers(min_value=1, max_value=12),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_dense_operator_products(self, pure, n_atoms, seed):
-        state, rho = _random_state(pure, n_atoms, seed)
+    def test_matches_dense_operator_products(self, dephasing, n_atoms, seed):
+        # a random complex amplitude vector, pure or dephased
+        rng = np.random.default_rng(seed)
+        spin = SpinQuantum(n_atoms)
+        amps = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
+        state = DickeState(spin, amps / np.linalg.norm(amps), dephasing)
+        rho = dense_rho(state)
         sx, sy, sz = spin_matrices(state.spin)
         mom = spin_moments(state)
 
@@ -222,7 +234,7 @@ class TestBandedMoments:
 
     def test_unnormalized_density_matrix_rejected(self):
         with pytest.raises(ContractViolationError):
-            spin_moments(AtomicDensityMatrix(SpinQuantum(2), np.eye(3)))
+            spin_moments(DickeState(SpinQuantum(2), np.ones(3), 1.0))
 
 
 class TestDecay:
