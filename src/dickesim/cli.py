@@ -287,11 +287,15 @@ def squeeze_scan(
         import warnings as _warnings
 
         with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
+            # one regime note per grid point below 1/sqrt(S); numpy overflow still shows
+            _warnings.simplefilter("ignore", UserWarning)
             xi_decay = np.array([squeezing_with_decay(c, n_atoms, d_res) for c in grid])
+        finite = np.isfinite(xi_decay)
+        if not finite.any():
+            raise DomainError("decay-model xi overflows at every strength: e^(C^2 N_a / d_res) is too large")
         columns.append("xi_decay" if mu is not None else "xi")
         series.append(xi_decay)
-        k = int(np.argmin(xi_decay))
+        k = int(np.argmin(np.where(finite, xi_decay, np.inf)))
         c_opt, xi_min = optimal_strength(n_atoms, d_res)
         summary["decay"] = {
             "d_res": d_res,

@@ -21,6 +21,13 @@ from scipy.special import gammaln
 from .errors import DomainError, TruncationError
 from .spin_basis import DickeState, SpinQuantum
 
+# Largest photon-law table, n = 0..n_max, that photon_distribution builds
+# (80 MB of float64); a longer one is a DomainError before any allocation.
+MAX_TABLE_LENGTH = 10**7
+# A term exp(x) with x below log(5e-324) ~ -744.4, the smallest subnormal
+# double, rounds to 0.0; the photon law skips every term below this floor.
+LOG_TERM_FLOOR = -760.0
+
 __all__ = [
     "PulseStrength",
     "JointState",
@@ -101,37 +108,61 @@ def apply_pulse(
 
 def default_n_max(c: float, s: float) -> int:
     """Covers the largest Poisson branch (mean (CS)^2) by at least 10 sigma."""
-    return int(math.ceil(c * c * s * s + 10.0 * c * s + 20.0))
+    length = c * c * s * s + 10.0 * c * s + 20.0
+    _require_table_length(length)
+    return int(math.ceil(length))
 
 
-def _log_poisson_matrix(intensities: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """log Poisson(n; lam) for each branch intensity (rows) over counts n (cols).
-
-    Branches with lam = 0 get a delta at n = 0.
-    """
-    lam = intensities[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = -lam + n[None, :] * np.log(lam) - gammaln(n[None, :] + 1)
-    zero = intensities == 0.0
-    if np.any(zero):
-        logp[zero, :] = -np.inf
-        logp[zero, 0] = 0.0
-    return logp
+def _require_table_length(n_max: float) -> None:
+    """DomainError unless a table over n = 0..n_max fits MAX_TABLE_LENGTH."""
+    if not n_max + 1 <= MAX_TABLE_LENGTH:  # also rejects inf and nan
+        raise DomainError(
+            f"photon-law table of {n_max + 1:.4g} entries exceeds the limit of {MAX_TABLE_LENGTH}"
+        )
 
 
 def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDistribution:
     """Exact detected-count law of the scattered mode: a Poisson mixture.
 
-    P(n) = sum_M rho_MM e^{-lambda_M} lambda_M^n / n!, each term evaluated
-    in log space.
+    P(n) = sum_M rho_MM e^{-lambda_M} lambda_M^n / n!.  Branches +-M share
+    lambda_M, so their populations are merged first.  Each merged branch
+    then adds its terms over one window of counts only: outside it,
+    Chernoff bounds put log(rho_MM) + log Poisson(n) below LOG_TERM_FLOOR,
+    so every term left out would round to 0.0 and the windowed sum is the
+    full sum.  Time is O(sum of windows), memory O(n_max + 2S + 1).
     """
     intensities = state.intensities()
     if n_max is None:
         n_max = default_n_max(float(np.sqrt(np.max(intensities))), 1.0)
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
+    _require_table_length(n_max)
+    pop = state.populations()
+    half = pop.size // 2
+    weights = pop[half:].copy()  # M >= 0, merged with -M below
+    weights[pop.size % 2 :] += pop[:half][::-1]
+    lam = intensities[half:]
+    probs = np.zeros(n_max + 1)
+    probs[0] = weights[lam == 0.0].sum()  # lambda = 0: a delta at n = 0
+
+    # a kept term has log Poisson(n) >= -g; the Chernoff bounds
+    # log Poisson(lam - t) <= -t^2/(2 lam) and log Poisson(lam + t) <=
+    # -t^2/(2 (lam + t/3)) for t >= 0 confine such n to [first, last]
+    g = np.log(weights, out=np.full(lam.shape, -np.inf), where=weights > 0) - LOG_TERM_FLOOR
+    keep = (lam > 0.0) & np.isfinite(lam) & (g > 0)
+    w, lam, g = weights[keep], lam[keep], g[keep]
+    reach = np.sqrt(2.0 * g) * np.sqrt(lam)
+    first = np.clip(np.ceil(lam - reach), 0, n_max + 1).astype(np.int64)
+    last = np.minimum(np.floor(lam + g / 3.0 + np.hypot(g / 3.0, reach)), n_max).astype(np.int64)
+    nonempty = first <= last
+    w, lam, first, last = w[nonempty], lam[nonempty], first[nonempty], last[nonempty]
+    log_lam = np.log(lam)
     n = np.arange(n_max + 1)
-    probs = state.populations() @ np.exp(_log_poisson_matrix(intensities, n))
+    log_factorial = gammaln(n + 1.0)
+
+    for j in range(w.size):
+        a, b = int(first[j]), int(last[j]) + 1
+        probs[a:b] += w[j] * np.exp(-lam[j] + n[a:b] * log_lam[j] - log_factorial[a:b])
     tail = 1.0 - float(probs.sum())
     return PhotonDistribution(probabilities=probs, n_max=n_max, tail_mass=tail)
 

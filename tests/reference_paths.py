@@ -2,8 +2,8 @@
 
 Dense spin matrices, ladder operators applied to amplitude vectors, the
 dense density matrix of a state and the closed-form dense conditioning
-kernel, the scalar log-binomial amplitude, the term-by-term photon law and
-the dense operator-product squeezing parameter.
+kernel, the scalar log-binomial amplitude, the term-by-term and the dense
+log-space photon laws and the dense operator-product squeezing parameter.
 None of this is on a library path; the tests compare the library's banded,
 vectorised and log-space routines against it.
 """
@@ -144,6 +144,31 @@ def photon_distribution_direct(joint: JointState, n_max: int) -> PhotonDistribut
             term *= lam / n
             probs[n] += w * term
     return PhotonDistribution(probabilities=probs, n_max=n_max, tail_mass=1.0 - probs.sum())
+
+
+def _log_poisson_matrix(intensities: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """log Poisson(n; lam) for each branch intensity (rows) over counts n (cols).
+
+    Branches with lam = 0 get a delta at n = 0.
+    """
+    lam = intensities[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = -lam + n[None, :] * np.log(lam) - gammaln(n[None, :] + 1)
+    zero = intensities == 0.0
+    if np.any(zero):
+        logp[zero, :] = -np.inf
+        logp[zero, 0] = 0.0
+    return logp
+
+
+def photon_distribution_dense(joint: JointState, n_max: int) -> PhotonDistribution:
+    """Every branch over every count: a (2S+1) x (n_max+1) log-Poisson matrix.
+
+    Valid at any intensity, but its memory grows as d * n_max.
+    """
+    n = np.arange(n_max + 1)
+    probs = joint.populations() @ np.exp(_log_poisson_matrix(joint.intensities(), n))
+    return PhotonDistribution(probabilities=probs, n_max=n_max, tail_mass=1.0 - float(probs.sum()))
 
 
 def assert_equal_up_to_phase(actual: np.ndarray, expected: np.ndarray, atol: float) -> None:

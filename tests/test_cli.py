@@ -66,6 +66,18 @@ class TestStatistics:
         result = run_cli(["statistics", "-C", "3", "--out", str(tmp_path)])
         assert result.returncode == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [["-C", "1e200"], ["-C", "1", "--n-max", "10000000"]],
+        ids=["default-length-overflows", "n-max-over-limit"],
+    )
+    def test_table_over_the_length_limit_exits_2(self, tmp_path, args):
+        result = run_cli(["statistics", "-N", "20", *args, "--out", str(tmp_path)])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "exceeds the limit" in result.stderr
+        assert not (tmp_path / "statistics.csv").exists()
+
 
 class TestCollapse:
     def test_cat_summary(self, tmp_path):
@@ -142,6 +154,14 @@ class TestTrajectory:
         peak_n = max(range(6, 97), key=lambda n: probs[n])
         assert peak_n in (35, 36)  # lattice mode of the second-pulse lobe at 36
 
+    def test_emitted_law_over_the_length_limit_exits_2(self, tmp_path):
+        result = run_cli(
+            ["trajectory", "-N", "20", "--pulses", '[{"C": 1e200}]', "--seed", "1", "--emit-dists", "--out", str(tmp_path)]
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "exceeds the limit" in result.stderr
+
     def test_empty_pulse_list(self, tmp_path):
         result = run_cli(
             ["trajectory", "-N", "4", "--pulses", "[]", "--seed", "0", "--out", str(tmp_path)]
@@ -213,6 +233,17 @@ class TestSqueezeScan:
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "undefined at every strength" in result.stderr
+        assert not out.exists()
+
+    def test_decay_xi_overflowing_at_every_strength_exits_2(self, tmp_path):
+        # e^(C^2 N_a / d_res) >= e^2000 at every grid point
+        out = tmp_path / "scan"
+        result = run_cli(
+            ["squeeze-scan", "-N", "20", "--d-res", "100", "--c-min", "100", "--c-max", "200", "--c-step", "50", "--out", str(out)]
+        )
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "overflows at every strength" in result.stderr
         assert not out.exists()
 
     def test_no_model_exits_1(self, tmp_path):

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from dickesim.errors import ContractViolationError, DomainError, TruncationError
 from dickesim.pulse_scattering import (
+    MAX_TABLE_LENGTH,
     PulseStrength,
     apply_pulse,
     default_n_max,
@@ -22,7 +25,17 @@ from dickesim.spin_basis import (
     initial_coherent_spin_state,
 )
 
-from reference_paths import photon_distribution_direct
+from reference_paths import photon_distribution_dense, photon_distribution_direct
+
+
+def assert_same_law(got, want):
+    """1e-10 relative where P > 1e-250, 1e-15 absolute elsewhere; tail mass to 1e-14."""
+    p, q = got.probabilities, want.probabilities
+    assert p.shape == q.shape
+    big = q > 1e-250
+    np.testing.assert_allclose(p[big], q[big], rtol=1e-10, atol=0)
+    np.testing.assert_allclose(p[~big], q[~big], rtol=0, atol=1e-15)
+    assert got.tail_mass == pytest.approx(want.tail_mass, abs=1e-14)
 
 
 class TestPulseStrength:
@@ -115,6 +128,88 @@ class TestPhotonDistribution:
         with pytest.raises(DomainError):
             photon_distribution(joint, -1)
 
+    def test_table_longer_than_the_limit_rejected(self):
+        joint = apply_pulse(initial_coherent_spin_state(4), 1.0)
+        with pytest.raises(DomainError):
+            photon_distribution(joint, MAX_TABLE_LENGTH)
+        with pytest.raises(DomainError):
+            default_n_max(1e200, 2.0)  # the length overflows to inf
+
+    def test_overflowed_intensity_leaves_its_mass_in_the_tail(self):
+        # (C M)^2 overflows to inf for M != 0; only M = 0 (population 6/16) lands in the table
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            joint = apply_pulse(initial_coherent_spin_state(4), 1e200)
+            dist = photon_distribution(joint, 10)
+        assert dist.probabilities[0] == pytest.approx(0.375, rel=1e-14)
+        assert np.all(dist.probabilities[1:] == 0.0)
+        assert dist.tail_mass == pytest.approx(0.625, rel=1e-14)
+
+    # random complex amplitudes make rho_MM != rho_-M,-M, so the +-M merge
+    # is exercised; keeping one or two of them leaves single branches whose
+    # own tails are the law's tails, and empty branches; a fraction of the
+    # default n_max cuts branches mid-window
+    @pytest.mark.parametrize("odd", [0, 1])
+    @given(
+        half_atoms=st.integers(min_value=1, max_value=99),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sparse=st.booleans(),
+        c=st.floats(min_value=0.0, max_value=3.0),
+        mu=st.floats(min_value=0.0, max_value=1.0),
+        dephasing=st.floats(min_value=0.0, max_value=5.0),
+        cut=st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_windowed_law_matches_dense_law(self, odd, half_atoms, seed, sparse, c, mu, dephasing, cut):
+        spin = SpinQuantum(2 * half_atoms + odd)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
+        if sparse:
+            a[rng.permutation(spin.dim)[rng.integers(1, 3) :]] = 0.0
+        joint = apply_pulse(DickeState(spin, a / np.linalg.norm(a), dephasing), c, mu)
+        n_max = default_n_max(math.sqrt(mu) * c, spin.s)
+        if cut is not None:
+            n_max = int(cut * n_max)
+        assert_same_law(photon_distribution(joint, n_max), photon_distribution_dense(joint, n_max))
+
+    @pytest.mark.parametrize(
+        "n_atoms,c,mu",
+        [(20, 2.0, 0.0), (21, 0.0, 1.0), (1, 1.5, 1.0), (1, 1.5, 0.4)],
+        ids=["mu=0", "C=0", "one-atom", "one-atom-lossy"],
+    )
+    def test_edge_cases(self, n_atoms, c, mu):
+        joint = apply_pulse(initial_coherent_spin_state(n_atoms), c, mu)
+        dist = photon_distribution(joint, 40)
+        assert_same_law(dist, photon_distribution_dense(joint, 40))
+        lam = mu * c * c / 4.0  # every branch of N_a = 1 has M = +-1/2
+        if n_atoms == 1:
+            np.testing.assert_allclose(dist.probabilities, poisson.pmf(np.arange(41), lam), rtol=1e-13)
+        else:
+            assert dist.probabilities[0] == pytest.approx(1.0, abs=1e-15)
+            assert np.all(dist.probabilities[1:] == 0.0)
+
+    def test_single_branch_keeps_its_far_tails(self):
+        # |S, M = S>: P(n) is one Poisson law of mean 10^4, kept down to 1e-250
+        spin = SpinQuantum(200)
+        a = np.zeros(spin.dim)
+        a[-1] = 1.0
+        joint = apply_pulse(DickeState(spin, a), 1.0)
+        n_max = default_n_max(1.0, spin.s)
+        dist = photon_distribution(joint, n_max)
+        assert_same_law(dist, photon_distribution_dense(joint, n_max))
+        assert np.count_nonzero(dist.probabilities > 1e-250) > 3000
+
+    def test_law_memory_is_linear_in_table_length(self):
+        # the dense 2001 x 11021 log-Poisson table alone would take 176 MB
+        joint = apply_pulse(initial_coherent_spin_state(2000), 0.1)
+        n_max = default_n_max(0.1, joint.spin.s)
+        tracemalloc.start()
+        try:
+            photon_distribution(joint, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @given(
         st.integers(min_value=1, max_value=12),
         st.floats(min_value=0.1, max_value=2.0),
@@ -140,8 +235,6 @@ class TestDistributionPeaks:
     def test_integer_mean_poisson_tie_resolves_to_mean(self):
         lam = 36
         n = np.arange(200)
-        from scipy.stats import poisson
-
         probs = poisson.pmf(n, lam)
         peaks = distribution_peaks(probs)
         assert len(peaks) == 1
@@ -169,7 +262,8 @@ class TestMoments:
     def test_zero_strength(self):
         assert photon_moments_closed_form(20, 0.0) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("n_atoms,c", [(4, 0.5), (10, 1.5), (20, 3.0)])
+    # (2000, 1.0) tabulates n = 0..1 010 020; a dense 2001-branch table would need 16 GB
+    @pytest.mark.parametrize("n_atoms,c", [(4, 0.5), (10, 1.5), (20, 3.0), (2000, 1.0)])
     def test_closed_form_matches_numeric(self, n_atoms, c):
         joint = apply_pulse(initial_coherent_spin_state(n_atoms), c)
         dist = photon_distribution(joint, default_n_max(c, joint.spin.s))
