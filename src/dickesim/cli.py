@@ -9,12 +9,12 @@ error, 2 domain/conditioning error, 3 internal consistency failure.
 from __future__ import annotations
 
 import datetime as _dt
-import io
 import json
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 import click
@@ -33,7 +33,6 @@ from .physical_params import (
 )
 from .pulse_scattering import (
     apply_pulse,
-    default_n_max,
     distribution_peaks,
     photon_distribution,
 )
@@ -46,17 +45,26 @@ EXIT_DOMAIN = 2
 EXIT_CONSISTENCY = 3
 
 
-def _write_atomic(path: Path, data: str) -> None:
+# rows formatted per write: bounds the memory of a table, not a setting
+TABLE_CHUNK_ROWS = 2**16
+
+
+def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(path: Path, payload) -> None:
+    _write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
 
 
 def _write_manifest(out_dir: Path, command: str, parameters: dict, seed: int | None, output_paths: list[Path]) -> Path:
@@ -69,26 +77,53 @@ def _write_manifest(out_dir: Path, command: str, parameters: dict, seed: int | N
         "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
     path = out_dir / f"{command}_manifest.json"
-    _write_atomic(path, json.dumps(manifest, indent=2) + "\n")
+    _write_json(path, manifest)
     return path
 
 
-def _csv(rows: list[tuple], header: tuple[str, ...]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-    return buf.getvalue()
+def _row_chunks(columns: list[np.ndarray], row: str, cells: Callable[[np.ndarray], list]) -> Iterator[str]:
+    """Each chunk of rows as one %-format: cells(column chunk) fills row's k fields."""
+    k = len(columns)
+    for a in range(0, columns[0].size, TABLE_CHUNK_ROWS):
+        part = [col[a : a + TABLE_CHUNK_ROWS] for col in columns]
+        rows = part[0].size
+        flat = [None] * (k * rows)
+        for j, col in enumerate(part):
+            flat[j::k] = cells(col)
+        yield (row * rows) % tuple(flat)
 
 
-def _emit_table(path_base: Path, rows: list[tuple], header: tuple[str, ...], fmt: str) -> Path:
-    if fmt == "json":
-        path = path_base.with_suffix(".json")
-        payload = [dict(zip(header, row)) for row in rows]
-        _write_atomic(path, json.dumps(payload, indent=2) + "\n")
-    else:
-        path = path_base.with_suffix(".csv")
-        _write_atomic(path, _csv(rows, header))
+def _csv_chunks(columns: list[np.ndarray], header: tuple[str, ...]) -> Iterator[str]:
+    """Header line, then rows in chunks; repr(int) == str(int), so every cell is repr."""
+    yield ",".join(header) + "\n"
+    yield from _row_chunks(columns, ",".join(["%r"] * len(columns)) + "\n", np.ndarray.tolist)
+
+
+def _json_cells(col: np.ndarray) -> list[str]:
+    """JSON numbers as json.dumps writes them, with null for a non-finite float."""
+    cells = list(map(repr, col.tolist()))
+    for k in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[k] = "null"
+    return cells
+
+
+def _json_chunks(columns: list[np.ndarray], header: tuple[str, ...]) -> Iterator[str]:
+    """The bytes of json.dumps(list of row dicts, indent=2) + newline, in chunks."""
+    if columns[0].size == 0:
+        yield "[]\n"
+        return
+    fields = ",\n".join(f"    {json.dumps(name).replace('%', '%%')}: %s" for name in header)
+    chunks = _row_chunks(columns, ",\n  {\n" + fields + "\n  }", _json_cells)
+    yield "[" + next(chunks)[1:]  # no comma before the first row
+    yield from chunks
+    yield "\n]\n"
+
+
+def _emit_table(path_base: Path, columns: list[np.ndarray], header: tuple[str, ...], fmt: str) -> Path:
+    """Write equal-length numpy columns as CSV or JSON, chunk by chunk."""
+    chunks = _json_chunks if fmt == "json" else _csv_chunks
+    path = path_base.with_suffix("." + fmt)
+    _write_atomic(path, chunks(columns, header))
     return path
 
 
@@ -123,37 +158,32 @@ def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gn
     out_dir = _common_out(out)
     state = initial_coherent_spin_state(n_atoms)
     joint = apply_pulse(state, c)
-    if n_max is None:
-        n_max = default_n_max(c, state.spin.s)
     dist = photon_distribution(joint, n_max)
-    rows = [(int(n), float(p)) for n, p in enumerate(dist.probabilities)]
-    table = _emit_table(out_dir / "statistics", rows, ("n", "P_n"), fmt)
+    table = _emit_table(
+        out_dir / "statistics", [np.arange(dist.n_max + 1), dist.probabilities], ("n", "P_n"), fmt
+    )
     peaks = distribution_peaks(dist.probabilities)
     sidecar = out_dir / "statistics_peaks.json"
-    _write_atomic(
+    _write_json(
         sidecar,
-        json.dumps(
-            {
-                "peaks": [
-                    {"n": p.n, "P": p.probability, "half_width": p.half_width}
-                    for p in peaks
-                ],
-                "tail_mass": dist.tail_mass,
-            },
-            indent=2,
-        )
-        + "\n",
+        {
+            "peaks": [
+                {"n": p.n, "P": p.probability, "half_width": p.half_width}
+                for p in peaks
+            ],
+            "tail_mass": dist.tail_mass,
+        },
     )
     outputs = [table, sidecar]
     if gnuplot and fmt == "csv":
         gp = out_dir / "statistics.gp"
-        _write_atomic(gp, _gnuplot_script(table, "P_n"))
+        _write_atomic(gp, [_gnuplot_script(table, "P_n")])
         outputs.append(gp)
     outputs.append(
         _write_manifest(
             out_dir,
             "statistics",
-            {"n_atoms": n_atoms, "C": c, "n_max": n_max, "format": fmt},
+            {"n_atoms": n_atoms, "C": c, "n_max": dist.n_max, "format": fmt},
             None,
             outputs,
         )
@@ -193,10 +223,9 @@ def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt:
                 summary["coherence"] = cat_coherence(collapsed, arm)
             except DomainError:
                 summary["coherence"] = None
-    rows = [(float(m), float(p)) for m, p in zip(m_values, collapsed.populations())]
-    table = _emit_table(out_dir / "collapse", rows, ("M", "P_a"), fmt)
+    table = _emit_table(out_dir / "collapse", [m_values, collapsed.populations()], ("M", "P_a"), fmt)
     sidecar = out_dir / "collapse_summary.json"
-    _write_atomic(sidecar, json.dumps(summary, indent=2) + "\n")
+    _write_json(sidecar, summary)
     outputs = [table, sidecar]
     outputs.append(
         _write_manifest(out_dir, "collapse", {"n_atoms": n_atoms, "C": c, "n_m": n_m, "mu": mu, "format": fmt}, None, outputs)
@@ -232,14 +261,12 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
     state = initial_coherent_spin_state(n_atoms)
     run = run_trajectory(state, specs, seed=seed, collect_distributions=emit_dists)
     jsonl_path = out_dir / "trajectory.jsonl"
-    _write_atomic(jsonl_path, run.record.to_jsonl())
+    _write_atomic(jsonl_path, [run.record.to_jsonl()])
     outputs = [jsonl_path]
     if emit_dists and run.distributions is not None:
         for idx, dist in enumerate(run.distributions):
-            rows = [(int(n), float(p)) for n, p in enumerate(dist.probabilities)]
-            outputs.append(
-                _emit_table(out_dir / f"trajectory_dist_{idx}", rows, ("n", "P_n"), "csv")
-            )
+            columns = [np.arange(dist.n_max + 1), dist.probabilities]
+            outputs.append(_emit_table(out_dir / f"trajectory_dist_{idx}", columns, ("n", "P_n"), "csv"))
     outputs.append(
         _write_manifest(
             out_dir,
@@ -319,10 +346,9 @@ def squeeze_scan(
             "min_xi": float(xi_mu[k]),
         }
     out_dir = _common_out(out)
-    rows = [tuple(float(col[i]) for col in series) for i in range(grid.size)]
-    table = _emit_table(out_dir / "squeeze_scan", rows, tuple(columns), fmt)
+    table = _emit_table(out_dir / "squeeze_scan", series, tuple(columns), fmt)
     sidecar = out_dir / "squeeze_scan_summary.json"
-    _write_atomic(sidecar, json.dumps(summary, indent=2) + "\n")
+    _write_json(sidecar, summary)
     outputs = [table, sidecar]
     outputs.append(
         _write_manifest(
@@ -370,7 +396,7 @@ def physical(config_path: str, out: str) -> None:
             )
     payload = dict(strengths.to_dict(), C_photon_form=c_photon, warnings=warnings_list)
     result = out_dir / "physical.json"
-    _write_atomic(result, json.dumps(payload, indent=2) + "\n")
+    _write_json(result, payload)
     outputs = [result]
     outputs.append(
         _write_manifest(out_dir, "physical", {"config_path": str(config_path)}, None, outputs)

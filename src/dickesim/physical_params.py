@@ -209,7 +209,11 @@ def squeezing_with_decay(c: float, n_atoms: int, d_res: float) -> float:
             f"C = {c:.3g} below 1/sqrt(S) = {1 / math.sqrt(s):.3g}; formula regime strained",
             stacklevel=2,
         )
-    return math.sqrt(2.0) / (math.sqrt(s) * c * math.exp(-c * c * n_atoms / d_res))
+    c = float(c)  # Python floats overflow to inf without a numpy warning
+    decay = math.exp(-c * c * n_atoms / d_res)
+    if decay == 0.0:  # e^(C^2 N_a / d_res) overflows
+        return math.inf
+    return math.sqrt(2.0) / (math.sqrt(s) * c * decay)
 
 
 def optimal_strength(n_atoms: int, d_res: float) -> tuple[float, float]:

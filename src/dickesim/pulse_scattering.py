@@ -13,6 +13,7 @@ populations.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,9 +109,13 @@ def apply_pulse(
 
 def default_n_max(c: float, s: float) -> int:
     """Covers the largest Poisson branch (mean (CS)^2) by at least 10 sigma."""
-    length = c * c * s * s + 10.0 * c * s + 20.0
+    length = _default_length(c, s)
     _require_table_length(length)
     return int(math.ceil(length))
+
+
+def _default_length(c: float, s: float) -> float:
+    return c * c * s * s + 10.0 * c * s + 20.0
 
 
 def _require_table_length(n_max: float) -> None:
@@ -130,20 +135,31 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
     Chernoff bounds put log(rho_MM) + log Poisson(n) below LOG_TERM_FLOOR,
     so every term left out would round to 0.0 and the windowed sum is the
     full sum.  Time is O(sum of windows), memory O(n_max + 2S + 1).
+
+    The default n_max is the last count any window reaches, capped at
+    default_n_max(sqrt(mu) C, S): every count it leaves out has P(n) = 0.0
+    exactly.  The cap, not the table length, must be finite, and the
+    table length must fit MAX_TABLE_LENGTH.
     """
+    trim = n_max is None
+    if trim:
+        # Python floats: an overflowed C*S is a DomainError without a warning
+        length = _default_length(math.sqrt(state.mu) * state.c, state.spin.s)
+        if not math.isfinite(length):
+            _require_table_length(length)
+        cap = float(math.ceil(length))
+    else:
+        if n_max < 0:
+            raise DomainError(f"n_max must be >= 0, got {n_max}")
+        _require_table_length(n_max)
+        cap = float(n_max)
     intensities = state.intensities()
-    if n_max is None:
-        n_max = default_n_max(float(np.sqrt(np.max(intensities))), 1.0)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    _require_table_length(n_max)
     pop = state.populations()
     half = pop.size // 2
     weights = pop[half:].copy()  # M >= 0, merged with -M below
     weights[pop.size % 2 :] += pop[:half][::-1]
     lam = intensities[half:]
-    probs = np.zeros(n_max + 1)
-    probs[0] = weights[lam == 0.0].sum()  # lambda = 0: a delta at n = 0
+    at_zero = weights[lam == 0.0].sum()  # lambda = 0: a delta at n = 0
 
     # a kept term has log Poisson(n) >= -g; the Chernoff bounds
     # log Poisson(lam - t) <= -t^2/(2 lam) and log Poisson(lam + t) <=
@@ -152,14 +168,21 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
     keep = (lam > 0.0) & np.isfinite(lam) & (g > 0)
     w, lam, g = weights[keep], lam[keep], g[keep]
     reach = np.sqrt(2.0 * g) * np.sqrt(lam)
-    first = np.clip(np.ceil(lam - reach), 0, n_max + 1).astype(np.int64)
-    last = np.minimum(np.floor(lam + g / 3.0 + np.hypot(g / 3.0, reach)), n_max).astype(np.int64)
+    first = np.clip(np.ceil(lam - reach), 0, cap + 1)
+    last = np.minimum(np.floor(lam + g / 3.0 + np.hypot(g / 3.0, reach)), cap)
     nonempty = first <= last
     w, lam, first, last = w[nonempty], lam[nonempty], first[nonempty], last[nonempty]
+    if trim:
+        n_max = last.max(initial=0.0)
+        _require_table_length(n_max)
+        n_max = int(n_max)
+    first, last = first.astype(np.int64), last.astype(np.int64)
     log_lam = np.log(lam)
     n = np.arange(n_max + 1)
     log_factorial = gammaln(n + 1.0)
 
+    probs = np.zeros(n_max + 1)
+    probs[0] = at_zero
     for j in range(w.size):
         a, b = int(first[j]), int(last[j]) + 1
         probs[a:b] += w[j] * np.exp(-lam[j] + n[a:b] * log_lam[j] - log_factorial[a:b])
@@ -192,34 +215,31 @@ def distribution_peaks(
     """
     p = np.asarray(probs, dtype=float)
     floor = floor_rtol * p.max()
-    peaks: list[DistributionPeak] = []
-    i = 0
     size = p.size
-    while i < size:
-        left_ok = i == 0 or p[i] > p[i - 1] * (1.0 - tie_rtol)
-        right_ok = i == size - 1 or p[i] > p[i + 1] * (1.0 - tie_rtol)
-        if not (left_ok and right_ok and p[i] > floor):
-            i += 1
+    shrink = 1.0 - tie_rtol
+    left_ok = np.ones(size, dtype=bool)
+    left_ok[1:] = p[1:] > p[:-1] * shrink
+    right_ok = np.ones(size, dtype=bool)
+    right_ok[:-1] = p[:-1] > p[1:] * shrink
+    peaks: list[DistributionPeak] = []
+    resume = 0
+    for i in np.flatnonzero(left_ok & right_ok & (p > floor)).tolist():
+        if i < resume:  # inside the plateau of the previous candidate
             continue
         # extend over the near-tied plateau, keep its rightmost member
-        j = i
-        while j + 1 < size and abs(p[j + 1] - p[i]) <= tie_rtol * p[i]:
-            j += 1
+        pi = p[i]
+        j = _first_where(p, i + 1, 1, lambda seg: ~(np.abs(seg - pi) <= tie_rtol * pi)) - 1
+        resume = j + 1
         if j + 1 < size and p[j + 1] > p[j]:
-            i = j + 1
             continue
         peak = j
         target = p[peak] / math.e
-        right = peak
-        while right < size - 1 and p[right] >= target:
-            right += 1
+        right = min(_first_where(p, peak, 1, lambda seg: ~(seg >= target)), size - 1)
         if p[right] < target and right > peak:
             r_cross = right - 1 + (p[right - 1] - target) / (p[right - 1] - p[right])
         else:
             r_cross = float(right)
-        left = peak
-        while left > 0 and p[left] >= target:
-            left -= 1
+        left = max(_first_where(p, peak, -1, lambda seg: ~(seg >= target)), 0)
         if p[left] < target and left < peak:
             l_cross = left + 1 - (p[left + 1] - target) / (p[left + 1] - p[left])
             half = 0.5 * ((r_cross - peak) + (peak - l_cross))
@@ -228,8 +248,28 @@ def distribution_peaks(
         peaks.append(
             DistributionPeak(n=peak, probability=float(p[peak]), half_width=half / math.sqrt(2.0))
         )
-        i = j + 1
     return peaks
+
+
+def _first_where(p: np.ndarray, start: int, step: int, hit: Callable[[np.ndarray], np.ndarray]) -> int:
+    """First index from start on, moving by step = +-1, where hit(p[k]) holds.
+
+    Returns the index one past the end it moves to (p.size or -1) when there
+    is none.  Galloping: it tests blocks of doubling length, so finding index
+    k costs O(|k - start|) elementwise work in O(log |k - start|) numpy calls.
+    """
+    width = 16
+    while 0 <= start < p.size:
+        if step > 0:
+            block = p[start : start + width]
+        else:
+            block = p[max(start - width + 1, 0) : start + 1][::-1]
+        found = np.flatnonzero(hit(block))
+        if found.size:
+            return start + step * int(found[0])
+        start += step * block.size
+        width *= 2
+    return start
 
 
 def photon_moments_closed_form(n_atoms: int, c: float) -> tuple[float, float]:

@@ -3,20 +3,22 @@
 Dense spin matrices, ladder operators applied to amplitude vectors, the
 dense density matrix of a state and the closed-form dense conditioning
 kernel, the scalar log-binomial amplitude, the term-by-term and the dense
-log-space photon laws and the dense operator-product squeezing parameter.
-None of this is on a library path; the tests compare the library's banded,
-vectorised and log-space routines against it.
+log-space photon laws, the dense operator-product squeezing parameter, the
+row-by-row CSV writer and the count-by-count peak finder.  None of this is
+on a library path; the tests compare the library's banded, vectorised,
+log-space and chunked routines against it.
 """
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
 from scipy.special import gammaln
 
 from dickesim.errors import DomainError
-from dickesim.pulse_scattering import JointState, PhotonDistribution
+from dickesim.pulse_scattering import DistributionPeak, JointState, PhotonDistribution
 from dickesim.spin_basis import DickeState, SpinQuantum
 
 
@@ -176,3 +178,68 @@ def assert_equal_up_to_phase(actual: np.ndarray, expected: np.ndarray, atol: flo
     overlap = np.vdot(actual, expected)
     phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
     np.testing.assert_allclose(actual * phase, expected, rtol=0, atol=atol)
+
+
+def csv_rows(rows: list[tuple], header: tuple[str, ...]) -> str:
+    """CSV text built one row at a time: repr for a float cell, str for any other."""
+    buf = io.StringIO()
+    buf.write(",".join(header) + "\n")
+    for row in rows:
+        buf.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    return buf.getvalue()
+
+
+def distribution_peaks_loop(
+    probs: np.ndarray,
+    tie_rtol: float = 1e-6,
+    floor_rtol: float = 1e-12,
+) -> list[DistributionPeak]:
+    """Local maxima of P(n) with 1/e half-widths, scanning one count at a time.
+
+    A Poisson branch with integer mean lam has a genuine two-point mode at
+    {lam-1, lam}; near-ties within tie_rtol are therefore treated as one
+    plateau and reported at its rightmost index.  The half-width is read off
+    from the interpolated 1/e points of the peak and scaled by 1/sqrt(2),
+    which for a Gaussian profile returns its sigma (the convention in which
+    branch M of the initial-state distribution has half-width C*M).
+    """
+    p = np.asarray(probs, dtype=float)
+    floor = floor_rtol * p.max()
+    peaks: list[DistributionPeak] = []
+    i = 0
+    size = p.size
+    while i < size:
+        left_ok = i == 0 or p[i] > p[i - 1] * (1.0 - tie_rtol)
+        right_ok = i == size - 1 or p[i] > p[i + 1] * (1.0 - tie_rtol)
+        if not (left_ok and right_ok and p[i] > floor):
+            i += 1
+            continue
+        # extend over the near-tied plateau, keep its rightmost member
+        j = i
+        while j + 1 < size and abs(p[j + 1] - p[i]) <= tie_rtol * p[i]:
+            j += 1
+        if j + 1 < size and p[j + 1] > p[j]:
+            i = j + 1
+            continue
+        peak = j
+        target = p[peak] / math.e
+        right = peak
+        while right < size - 1 and p[right] >= target:
+            right += 1
+        if p[right] < target and right > peak:
+            r_cross = right - 1 + (p[right - 1] - target) / (p[right - 1] - p[right])
+        else:
+            r_cross = float(right)
+        left = peak
+        while left > 0 and p[left] >= target:
+            left -= 1
+        if p[left] < target and left < peak:
+            l_cross = left + 1 - (p[left + 1] - target) / (p[left + 1] - p[left])
+            half = 0.5 * ((r_cross - peak) + (peak - l_cross))
+        else:
+            half = r_cross - peak
+        peaks.append(
+            DistributionPeak(n=peak, probability=float(p[peak]), half_width=half / math.sqrt(2.0))
+        )
+        i = j + 1
+    return peaks

@@ -4,11 +4,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dickesim
+from dickesim import cli
+
+from reference_paths import csv_rows
 
 CLI = [sys.executable, "-m", "dickesim.cli"]
 # the child interpreter imports the same dickesim as these tests
@@ -77,6 +85,23 @@ class TestStatistics:
         assert "Traceback" not in result.stderr
         assert "exceeds the limit" in result.stderr
         assert not (tmp_path / "statistics.csv").exists()
+
+
+    def test_default_table_is_a_prefix_of_the_formula_table(self, tmp_path):
+        # the default table ends where the law's windows end; the formula
+        # length (C S)^2 + 10 C S + 20 = 11020.000000000002 adds only zeros
+        short, full = tmp_path / "short", tmp_path / "full"
+        args = ["statistics", "-N", "2000", "-C", "0.1"]
+        assert run_cli(args + ["--out", str(short)]).returncode == 0
+        assert run_cli(args + ["--n-max", "11021", "--out", str(full)]).returncode == 0
+        head = (short / "statistics.csv").read_bytes()
+        whole = (full / "statistics.csv").read_bytes()
+        assert whole.startswith(head) and len(head) < len(whole)
+        dropped = whole[len(head) :].decode().splitlines()
+        assert all(line.endswith(",0.0") for line in dropped)
+        manifest = json.loads((short / "statistics_manifest.json").read_text())
+        assert manifest["parameters"]["n_max"] == head.count(b"\n") - 2
+        assert json.loads((full / "statistics_manifest.json").read_text())["parameters"]["n_max"] == 11021
 
 
 class TestCollapse:
@@ -246,6 +271,24 @@ class TestSqueezeScan:
         assert "overflows at every strength" in result.stderr
         assert not out.exists()
 
+    def test_decay_xi_overflowing_at_some_strengths_is_null_in_json(self, tmp_path):
+        # grid C = 1, 51, 101: e^(C^2 N_a / d_res) overflows only at C = 101
+        result = run_cli(
+            ["squeeze-scan", "-N", "20", "--d-res", "100", "--c-min", "1", "--c-max", "100", "--c-step", "50", "--format", "json", "--out", str(tmp_path)]
+        )
+        assert result.returncode == 0
+        assert "RuntimeWarning" not in result.stderr
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        rows = json.loads((tmp_path / "squeeze_scan.json").read_text(), parse_constant=reject)
+        assert [row["C"] for row in rows] == [1.0, 51.0, 101.0]
+        assert rows[2]["xi"] is None
+        assert all(math.isfinite(row["xi"]) for row in rows[:2])
+        summary = json.loads((tmp_path / "squeeze_scan_summary.json").read_text(), parse_constant=reject)
+        assert summary["decay"]["argmin_C"] == 1.0
+
     def test_no_model_exits_1(self, tmp_path):
         result = run_cli(
             ["squeeze-scan", "-N", "20", "--c-min", "1", "--c-max", "2", "--c-step", "0.5", "--out", str(tmp_path)]
@@ -320,3 +363,61 @@ class TestPhysical:
     def test_missing_file_exits_1(self, tmp_path):
         result = run_cli(["physical", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert result.returncode == 1
+
+
+# floats on both sides of repr's switch to exponent notation (1e-4, 1e16),
+# the smallest subnormal, signed zeros, negative M values and non-finite cells
+SPECIAL = [0.0, -0.0, 5e-324, 1e-4, 1e16, -2.5, -10.0, math.inf, -math.inf, math.nan]
+SPECIAL += [float(np.nextafter(v, t)) for v in (1e-4, 1e16) for t in (0.0, math.inf)]
+CELLS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(min_value=0, max_value=40))
+    ints = np.array(draw(st.lists(st.integers(-(2**62), 2**62), min_size=rows, max_size=rows)), dtype=np.int64)
+    floats = [np.array(draw(st.lists(CELLS, min_size=rows, max_size=rows)), dtype=float) for _ in range(2)]
+    return [ints, *floats], draw(st.integers(min_value=1, max_value=7))
+
+
+class TestTableWriter:
+    HEADER = ("n", "M", "P_n")
+
+    @given(tables())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_matches_row_by_row_writer(self, table):
+        columns, chunk = table
+        rows = [(int(n), float(m), float(p)) for n, m, p in zip(*columns)]
+        with mock.patch.object(cli, "TABLE_CHUNK_ROWS", chunk):
+            got = "".join(cli._csv_chunks(columns, self.HEADER))
+        assert got == csv_rows(rows, self.HEADER)
+
+    @given(tables())
+    @settings(max_examples=200, deadline=None)
+    def test_json_matches_json_dumps_with_null_for_non_finite(self, table):
+        columns, chunk = table
+        rows = [
+            {k: v if not isinstance(v, float) or math.isfinite(v) else None for k, v in zip(self.HEADER, row)}
+            for row in zip(columns[0].tolist(), columns[1].tolist(), columns[2].tolist())
+        ]
+        with mock.patch.object(cli, "TABLE_CHUNK_ROWS", chunk):
+            got = "".join(cli._json_chunks(columns, self.HEADER))
+        assert got == json.dumps(rows, indent=2) + "\n"
+
+    def test_chunked_writing_memory_is_bounded(self, tmp_path):
+        # one list of row tuples plus the whole CSV string peaks at ~64 MB
+        # for these 4e5 rows; chunks of TABLE_CHUNK_ROWS keep it near 10 MB
+        # at any length (tracing every allocation makes a longer table slow)
+        size = 400_000
+        columns = [np.arange(size), np.random.default_rng(0).random(size)]
+        tracemalloc.start()
+        try:
+            path = cli._emit_table(tmp_path / "big", columns, ("n", "P_n"), "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        with path.open("rb") as fh:
+            fh.seek(-60, os.SEEK_END)
+            last = fh.read().splitlines()[-1].decode()
+        assert last == f"{size - 1},{float(columns[1][-1])!r}"

@@ -25,7 +25,7 @@ from dickesim.spin_basis import (
     initial_coherent_spin_state,
 )
 
-from reference_paths import photon_distribution_dense, photon_distribution_direct
+from reference_paths import distribution_peaks_loop, photon_distribution_dense, photon_distribution_direct
 
 
 def assert_same_law(got, want):
@@ -198,6 +198,42 @@ class TestPhotonDistribution:
         assert_same_law(dist, photon_distribution_dense(joint, n_max))
         assert np.count_nonzero(dist.probabilities > 1e-250) > 3000
 
+    # the default table ends at the last count any window reaches; the
+    # random amplitudes and sparse supports move that end around
+    @pytest.mark.parametrize("odd", [0, 1])
+    @given(
+        half_atoms=st.integers(min_value=1, max_value=150),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        sparse=st.booleans(),
+        c=st.floats(min_value=0.0, max_value=3.0),
+        mu=st.floats(min_value=0.0, max_value=1.0),
+        dephasing=st.floats(min_value=0.0, max_value=5.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_default_table_drops_only_exact_zeros(self, odd, half_atoms, seed, sparse, c, mu, dephasing):
+        spin = SpinQuantum(2 * half_atoms + odd)
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
+        if sparse:
+            a[rng.permutation(spin.dim)[rng.integers(1, 3) :]] = 0.0
+        joint = apply_pulse(DickeState(spin, a / np.linalg.norm(a), dephasing), c, mu)
+        full = photon_distribution(joint, default_n_max(math.sqrt(mu) * c, spin.s))
+        trimmed = photon_distribution(joint)
+        assert trimmed.n_max <= full.n_max
+        kept = full.probabilities[: trimmed.n_max + 1]
+        assert trimmed.probabilities.tobytes() == kept.tobytes()
+        assert np.all(full.probabilities[trimmed.n_max + 1 :] == 0.0)
+        assert trimmed.tail_mass == pytest.approx(full.tail_mass, abs=1e-15)
+
+    def test_default_length_limit_applies_to_the_trimmed_table(self):
+        # (C S)^2 + 10 C S + 20 = 1.0e8 counts, but every window ends by 7.4e6
+        joint = apply_pulse(initial_coherent_spin_state(20000), 1.0)
+        with pytest.raises(DomainError):
+            default_n_max(1.0, joint.spin.s)
+        assert photon_distribution(joint).n_max < MAX_TABLE_LENGTH
+        with pytest.raises(DomainError):  # an overflowed C S is still rejected
+            photon_distribution(apply_pulse(initial_coherent_spin_state(20), 1e200))
+
     def test_law_memory_is_linear_in_table_length(self):
         # the dense 2001 x 11021 log-Poisson table alone would take 176 MB
         joint = apply_pulse(initial_coherent_spin_state(2000), 0.1)
@@ -251,6 +287,47 @@ class TestDistributionPeaks:
         probs[10] = 1.0
         probs[40] = 1e-15
         assert [p.n for p in distribution_peaks(probs)] == [10]
+
+    # random laws with near-tie plateaus (runs within tie_rtol of one base
+    # value), peaks at both ends, monotone arrays and single entries
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        size=st.integers(min_value=1, max_value=400),
+        kind=st.sampled_from(["noise", "lobes", "increasing", "decreasing"]),
+        plateaus=st.integers(min_value=0, max_value=6),
+        tie_rtol=st.sampled_from([1e-6, 1e-2]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_count_by_count_loop(self, seed, size, kind, plateaus, tie_rtol):
+        rng = np.random.default_rng(seed)
+        x = np.arange(size)
+        if kind == "noise":
+            p = rng.random(size) ** 8
+        elif kind == "lobes":
+            centres = np.concatenate([[0, size - 1], rng.integers(0, size, 3)])
+            widths = rng.uniform(0.3, 40.0, centres.size)
+            heights = rng.uniform(0.0, 1.0, centres.size) ** 4
+            p = (heights * np.exp(-0.5 * ((x[:, None] - centres) / widths) ** 2)).sum(axis=1)
+        else:
+            p = np.sort(rng.random(size))
+            if kind == "decreasing":
+                p = p[::-1].copy()
+        for _ in range(plateaus):
+            start = int(rng.integers(0, size))
+            run = int(rng.integers(1, 40))
+            base = p[start]
+            stop = min(start + run, size)
+            p[start:stop] = base * (1.0 + tie_rtol * rng.uniform(-1.0, 1.0, stop - start))
+        if rng.random() < 0.3:
+            p[rng.random(size) < 0.2] = 0.0
+        assert distribution_peaks(p, tie_rtol=tie_rtol) == distribution_peaks_loop(p, tie_rtol=tie_rtol)
+
+    def test_statistics_law_matches_count_by_count_loop(self):
+        # separated lobes at 9 M^2 for M = 0..46, each a Poisson of width 3 M
+        dist = photon_distribution(apply_pulse(initial_coherent_spin_state(200), 3.0))
+        peaks = distribution_peaks(dist.probabilities)
+        assert len(peaks) == 47
+        assert peaks == distribution_peaks_loop(dist.probabilities)
 
 
 class TestMoments:
