@@ -34,7 +34,6 @@ __all__ = [
     "JointState",
     "PhotonDistribution",
     "apply_pulse",
-    "default_n_max",
     "photon_distribution",
     "DistributionPeak",
     "distribution_peaks",
@@ -107,17 +106,6 @@ def apply_pulse(
     return JointState(state, strength.c, mu)
 
 
-def default_n_max(c: float, s: float) -> int:
-    """Covers the largest Poisson branch (mean (CS)^2) by at least 10 sigma."""
-    length = _default_length(c, s)
-    _require_table_length(length)
-    return int(math.ceil(length))
-
-
-def _default_length(c: float, s: float) -> float:
-    return c * c * s * s + 10.0 * c * s + 20.0
-
-
 def _require_table_length(n_max: float) -> None:
     """DomainError unless a table over n = 0..n_max fits MAX_TABLE_LENGTH."""
     if not n_max + 1 <= MAX_TABLE_LENGTH:  # also rejects inf and nan
@@ -136,15 +124,18 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
     so every term left out would round to 0.0 and the windowed sum is the
     full sum.  Time is O(sum of windows), memory O(n_max + 2S + 1).
 
-    The default n_max is the last count any window reaches, capped at
-    default_n_max(sqrt(mu) C, S): every count it leaves out has P(n) = 0.0
-    exactly.  The cap, not the table length, must be finite, and the
-    table length must fit MAX_TABLE_LENGTH.
+    The default n_max is the last count any window reaches, but at least
+    20, capped at (sqrt(mu) C S)^2 + 10 sqrt(mu) C S + 20, which covers the
+    largest branch by 10 sigma: every count it leaves out has P(n) = 0.0
+    exactly, and a law with all its mass at n = 0 keeps the zeros after it.
+    The cap, not the table length, must be finite, and the table length
+    must fit MAX_TABLE_LENGTH.
     """
     trim = n_max is None
     if trim:
         # Python floats: an overflowed C*S is a DomainError without a warning
-        length = _default_length(math.sqrt(state.mu) * state.c, state.spin.s)
+        c, s = math.sqrt(state.mu) * state.c, state.spin.s
+        length = c * c * s * s + 10.0 * c * s + 20.0
         if not math.isfinite(length):
             _require_table_length(length)
         cap = float(math.ceil(length))
@@ -173,7 +164,7 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
     nonempty = first <= last
     w, lam, first, last = w[nonempty], lam[nonempty], first[nonempty], last[nonempty]
     if trim:
-        n_max = last.max(initial=0.0)
+        n_max = max(last.max(initial=0.0), 20.0)
         _require_table_length(n_max)
         n_max = int(n_max)
     first, last = first.astype(np.int64), last.astype(np.int64)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from dickesim.errors import DomainError
-from dickesim.pulse_scattering import DistributionPeak, JointState, PhotonDistribution
+from dickesim.pulse_scattering import MAX_TABLE_LENGTH, DistributionPeak, JointState, PhotonDistribution
 from dickesim.spin_basis import DickeState, SpinQuantum
 
 
@@ -125,6 +125,18 @@ def dense_xi(spin: SpinQuantum, rho: np.ndarray) -> float | None:
             cov[i, j] = float(np.real(np.trace(rho @ sym))) - mvals[i] * mvals[j]
     var_perp = max(float(np.linalg.eigvalsh(cov)[0]), 0.0)
     return float(math.sqrt(2.0 * spin.s) * math.sqrt(var_perp) / length)
+
+
+def default_n_max(c: float, s: float) -> int:
+    """The formula table length, (CS)^2 + 10 CS + 20: the largest branch covered by 10 sigma.
+
+    photon_distribution(joint) caps its default table at this n_max for
+    C = sqrt(mu) C_pulse; DomainError when n = 0..n_max exceeds MAX_TABLE_LENGTH.
+    """
+    length = c * c * s * s + 10.0 * c * s + 20.0
+    if not length + 1 <= MAX_TABLE_LENGTH:  # also rejects inf and nan
+        raise DomainError(f"photon-law table of {length + 1:.4g} entries exceeds the limit of {MAX_TABLE_LENGTH}")
+    return int(math.ceil(length))
 
 
 def photon_distribution_direct(joint: JointState, n_max: int) -> PhotonDistribution:

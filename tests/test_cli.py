@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -395,13 +396,13 @@ class TestTableWriter:
     @given(tables())
     @settings(max_examples=200, deadline=None)
     def test_json_matches_json_dumps_with_null_for_non_finite(self, table):
-        columns, chunk = table
+        columns, _ = table
         rows = [
             {k: v if not isinstance(v, float) or math.isfinite(v) else None for k, v in zip(self.HEADER, row)}
             for row in zip(columns[0].tolist(), columns[1].tolist(), columns[2].tolist())
         ]
-        with mock.patch.object(cli, "TABLE_CHUNK_ROWS", chunk):
-            got = "".join(cli._json_chunks(columns, self.HEADER))
+        with tempfile.TemporaryDirectory() as tmp:
+            got = cli._emit_table(Path(tmp) / "table", columns, self.HEADER, "json").read_text()
         assert got == json.dumps(rows, indent=2) + "\n"
 
     def test_chunked_writing_memory_is_bounded(self, tmp_path):

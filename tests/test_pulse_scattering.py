@@ -12,7 +12,6 @@ from dickesim.pulse_scattering import (
     MAX_TABLE_LENGTH,
     PulseStrength,
     apply_pulse,
-    default_n_max,
     distribution_peaks,
     faraday_variance_operator,
     photon_distribution,
@@ -25,7 +24,12 @@ from dickesim.spin_basis import (
     initial_coherent_spin_state,
 )
 
-from reference_paths import distribution_peaks_loop, photon_distribution_dense, photon_distribution_direct
+from reference_paths import (
+    default_n_max,
+    distribution_peaks_loop,
+    photon_distribution_dense,
+    photon_distribution_direct,
+)
 
 
 def assert_same_law(got, want):
@@ -132,8 +136,8 @@ class TestPhotonDistribution:
         joint = apply_pulse(initial_coherent_spin_state(4), 1.0)
         with pytest.raises(DomainError):
             photon_distribution(joint, MAX_TABLE_LENGTH)
-        with pytest.raises(DomainError):
-            default_n_max(1e200, 2.0)  # the length overflows to inf
+        with pytest.raises(DomainError):  # the default length overflows to inf
+            photon_distribution(apply_pulse(initial_coherent_spin_state(4), 1e200))
 
     def test_overflowed_intensity_leaves_its_mass_in_the_tail(self):
         # (C M)^2 overflows to inf for M != 0; only M = 0 (population 6/16) lands in the table
@@ -224,6 +228,18 @@ class TestPhotonDistribution:
         assert trimmed.probabilities.tobytes() == kept.tobytes()
         assert np.all(full.probabilities[trimmed.n_max + 1 :] == 0.0)
         assert trimmed.tail_mass == pytest.approx(full.tail_mass, abs=1e-15)
+
+    @pytest.mark.parametrize("c,mu", [(0.0, 1.0), (2.0, 0.0)], ids=["C=0", "mu=0"])
+    def test_delta_law_keeps_the_formula_minimum_length(self, c, mu):
+        # every count but n = 0 is 0.0; the table still runs to n = 20, so
+        # the peak at 0 reads its 1/e fall towards n = 1 as before the trim
+        joint = apply_pulse(initial_coherent_spin_state(20), c, mu)
+        dist = photon_distribution(joint)
+        assert dist.n_max == 20
+        assert dist.probabilities.tobytes() == photon_distribution(joint, 20).probabilities.tobytes()
+        (peak,) = distribution_peaks(dist.probabilities)
+        assert peak.n == 0
+        assert peak.half_width == pytest.approx((1.0 - 1.0 / math.e) / math.sqrt(2.0), rel=1e-15)
 
     def test_default_length_limit_applies_to_the_trimmed_table(self):
         # (C S)^2 + 10 C S + 20 = 1.0e8 counts, but every window ends by 7.4e6
