@@ -17,28 +17,11 @@ from .errors import DomainError, ShapeError
 from .spin_basis import DickeState
 
 __all__ = [
-    "PeakReport",
     "cat_peak_location",
     "cat_peak_width",
-    "peak_report",
     "null_width",
-    "cat_squeezing_xi_x",
     "cat_coherence",
 ]
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PeakReport:
-    """Continuous lobe location and 1/e half-width, in units of M."""
-
-    m_peak: float
-    m_width: float
-
-    @property
-    def distinguishable(self) -> bool:
-        return self.m_width < self.m_peak
 
 
 def cat_peak_location(c: float, n_m: int) -> float:
@@ -72,10 +55,6 @@ def cat_peak_width(c: float, n_m: int) -> float:
     return float(bisect(f, lo, hi, xtol=1e-10, maxiter=200))
 
 
-def peak_report(c: float, n_m: int) -> PeakReport:
-    return PeakReport(m_peak=cat_peak_location(c, n_m), m_width=cat_peak_width(c, n_m))
-
-
 def null_width(state: DickeState) -> float:
     """1/e half-width in M of a distribution unimodal at M = 0.
 
@@ -105,16 +84,6 @@ def null_width(state: DickeState) -> float:
     frac = (log_hi + 1.0) / (log_hi - log_lo)
     m_sq = (j - 1) ** 2 + frac * (j * j - (j - 1) ** 2)
     return float(math.sqrt(m_sq))
-
-
-def cat_squeezing_xi_x(n_atoms: int, c: float, n_m: int) -> float:
-    """Cat-state squeezing estimate sqrt(n_m / (S C^2)) with S = N_a/2."""
-    if c <= 0:
-        raise DomainError(f"pulse strength must be > 0, got {c}")
-    if n_atoms < 1:
-        raise DomainError(f"need at least one atom, got {n_atoms}")
-    s = n_atoms / 2.0
-    return math.sqrt(n_m / (s * c * c))
 
 
 def cat_coherence(state: DickeState, m_arm: int) -> float:

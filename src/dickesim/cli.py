@@ -32,6 +32,7 @@ from .physical_params import (
     squeezing_with_decay,
 )
 from .pulse_scattering import (
+    MAX_TABLE_LENGTH,
     apply_pulse,
     distribution_peaks,
     photon_distribution,
@@ -212,6 +213,13 @@ def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt:
     click.echo(f"wrote {', '.join(str(p) for p in outputs)}")
 
 
+def _forced_count(value) -> int:
+    """int(value), refusing a float with a fractional part that int() would drop."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"force_n must be an integer, got {value}")
+    return int(value)
+
+
 @main.command()
 @click.option("--n-atoms", "-N", "n_atoms", type=int, required=True)
 @click.option("--pulses", "pulses_json", type=str, required=True, help='JSON array of {"C":..,"mu":..,"force_n":..}.')
@@ -229,7 +237,7 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
             PulseSpec(
                 c=float(item["C"]),
                 mu=float(item.get("mu", 1.0)),
-                force_n=int(item["force_n"]) if "force_n" in item else None,
+                force_n=_forced_count(item["force_n"]) if "force_n" in item else None,
             )
             for item in raw
         ]
@@ -282,6 +290,10 @@ def squeeze_scan(
         raise click.UsageError("choose a model: --d-res (decay), --mu (inefficiency), or both")
     if c_step <= 0 or c_max < c_min or c_min <= 0:
         raise click.UsageError("need 0 < c-min <= c-max and c-step > 0")
+    # np.arange's length, in Python floats: inf or nan fails the test as well
+    length = (c_max + 0.5 * c_step - c_min) / c_step
+    if not length <= MAX_TABLE_LENGTH:
+        raise DomainError(f"strength grid of {length:.4g} points exceeds the limit of {MAX_TABLE_LENGTH}")
     grid = np.arange(c_min, c_max + 0.5 * c_step, c_step)
     if grid.size == 0:
         raise click.UsageError("empty strength grid")

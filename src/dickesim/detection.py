@@ -96,7 +96,10 @@ def sample_outcome(joint: JointState, rng: np.random.Generator) -> int:
     lam = float(joint.intensities()[idx])
     if lam == 0.0:
         return 0
-    return int(rng.poisson(lam))
+    try:
+        return int(rng.poisson(lam))
+    except ValueError as exc:  # numpy's sampler stops near lambda = 9.2e18
+        raise DomainError(f"cannot sample a count at lambda = {lam:.4g}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 The entanglement results are fully dimensionless in (C, mu, N_a, d_res);
 this module owns the SI-unit bookkeeping that produces those numbers, the
-photon-loss bound, and the decay-corrected squeezing optimum.  Dipole
-constants enter only as one composite prefactor supplied by the caller.
+photon-loss bound, and the decay-corrected squeezing optimum.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
-from scipy.optimize import minimize_scalar
-
-from .errors import ConfigError, ConsistencyError, DomainError
+from .errors import ConfigError, DomainError
 
 # C^2 N_a / d_res = SPON_COUPLING_CONSTANT * C_spon^2 when N_a = n_a A L;
 # the O(1) constant is pinned here once and asserted in the tests.
@@ -31,11 +28,8 @@ __all__ = [
     "measurement_strength_photon_form",
     "optical_depths",
     "derive_strengths",
-    "faraday_prefactor",
-    "faraday_angle",
     "squeezing_with_decay",
     "optimal_strength",
-    "inefficiency_optimum",
 ]
 
 _CONFIG_FIELDS = (
@@ -97,6 +91,9 @@ class PhysicalConfig:
         missing = set(_CONFIG_FIELDS) - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
+        n_a = data["N_a"]
+        if isinstance(n_a, float) and not n_a.is_integer():
+            raise ConfigError(f"N_a must be an integer, got {n_a}")
         try:
             return cls(**{k: (int(data[k]) if k == "N_a" else float(data[k])) for k in _CONFIG_FIELDS})
         except (TypeError, ValueError) as exc:
@@ -170,30 +167,6 @@ def derive_strengths(config: PhysicalConfig) -> DerivedStrengths:
     )
 
 
-_SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-
-def faraday_prefactor(config: PhysicalConfig, dipole_sq_over_hbar_eps0: float) -> float:
-    """Composite constant 2 p^2 Omega / (hbar Delta c eps0 A).
-
-    The dipole constants enter only through the single caller-supplied
-    combination p^2/(hbar eps0); the carrier frequency comes from the
-    configured wavelength.
-    """
-    if dipole_sq_over_hbar_eps0 < 0:
-        raise DomainError("dipole_sq_over_hbar_eps0 must be >= 0")
-    omega = 2.0 * math.pi * _SPEED_OF_LIGHT / config.wavelength
-    return (
-        2.0 * dipole_sq_over_hbar_eps0 * omega
-        / (config.delta * _SPEED_OF_LIGHT * config.area)
-    )
-
-
-def faraday_angle(prefactor: float, mean_sz: float) -> float:
-    """Mean polarization rotation: prefactor * <S_z>; linear and odd in <S_z>."""
-    return prefactor * mean_sz
-
-
 def squeezing_with_decay(c: float, n_atoms: int, d_res: float) -> float:
     """Decay-corrected squeezing, sqrt(2) / (sqrt(S) C e^{-C^2 N_a / d_res}).
 
@@ -217,35 +190,7 @@ def squeezing_with_decay(c: float, n_atoms: int, d_res: float) -> float:
 
 
 def optimal_strength(n_atoms: int, d_res: float) -> tuple[float, float]:
-    """Closed-form optimum: C_opt = sqrt(d_res/(2 N_a)), xi_min = 2 sqrt(e)/sqrt(d_res).
-
-    The closed-form C_opt is cross-checked against a 1-D numerical
-    minimization of squeezing_with_decay over (0, 10 C_opt].
-    """
+    """Closed-form optimum: C_opt = sqrt(d_res/(2 N_a)), xi_min = 2 sqrt(e)/sqrt(d_res)."""
     if d_res <= 0 or n_atoms < 1:
         raise DomainError("need d_res > 0 and n_atoms >= 1")
-    c_opt = math.sqrt(d_res / (2.0 * n_atoms))
-    xi_min = 2.0 * math.sqrt(math.e) / math.sqrt(d_res)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = minimize_scalar(
-            lambda c: squeezing_with_decay(c, n_atoms, d_res),
-            bounds=(1e-12, 10.0 * c_opt),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-    if abs(result.x - c_opt) > 1e-6 * c_opt:
-        raise ConsistencyError(
-            f"numerical minimizer {result.x} disagrees with closed form {c_opt}"
-        )
-    return c_opt, xi_min
-
-
-def inefficiency_optimum(n_atoms: int, mu: float) -> float:
-    """Estimated best strength under inefficient detection: 1/sqrt(1-mu)."""
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError(f"efficiency must lie in [0,1], got {mu}")
-    if mu == 1.0:
-        return math.inf
-    return 1.0 / math.sqrt(1.0 - mu)
+    return math.sqrt(d_res / (2.0 * n_atoms)), 2.0 * math.sqrt(math.e) / math.sqrt(d_res)

@@ -30,7 +30,6 @@ MAX_TABLE_LENGTH = 10**7
 LOG_TERM_FLOOR = -760.0
 
 __all__ = [
-    "PulseStrength",
     "JointState",
     "PhotonDistribution",
     "apply_pulse",
@@ -39,19 +38,7 @@ __all__ = [
     "distribution_peaks",
     "photon_moments_closed_form",
     "photon_moments_numeric",
-    "faraday_variance_operator",
 ]
-
-
-@dataclass(frozen=True)
-class PulseStrength:
-    """Dimensionless measurement strength C >= 0."""
-
-    c: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.c) or self.c < 0:
-            raise DomainError(f"pulse strength must be finite and >= 0, got {self.c}")
 
 
 @dataclass(frozen=True)
@@ -92,18 +79,22 @@ class PhotonDistribution:
         object.__setattr__(self, "probabilities", p)
 
 
-def apply_pulse(
-    state: DickeState,
-    strength: PulseStrength | float,
-    mu: float = 1.0,
-) -> JointState:
-    """Entangle the atoms with the scattered mode, detected at efficiency mu."""
-    if not isinstance(strength, PulseStrength):
-        strength = PulseStrength(float(strength))
+def apply_pulse(state: DickeState, strength: float, mu: float = 1.0) -> JointState:
+    """Entangle the atoms with the scattered mode, detected at efficiency mu.
+
+    The strength C must be >= 0 with (C S)^2, the largest intensity at
+    mu = 1, finite, so every lambda_M of the joint state is finite.
+    """
+    c = float(strength)
+    cs = c * state.spin.s  # Python floats overflow to inf without a numpy warning
+    if not (c >= 0.0 and math.isfinite(cs * cs)):
+        raise DomainError(
+            f"pulse strength must be >= 0 with (C S)^2 finite, got C = {c} at S = {state.spin.s}"
+        )
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"detection efficiency must lie in [0,1], got {mu}")
     state.require_normalized()
-    return JointState(state, strength.c, mu)
+    return JointState(state, c, mu)
 
 
 def _require_table_length(n_max: float) -> None:
@@ -133,7 +124,7 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
     """
     trim = n_max is None
     if trim:
-        # Python floats: an overflowed C*S is a DomainError without a warning
+        # Python floats: a cap that overflows is a DomainError without a warning
         c, s = math.sqrt(state.mu) * state.c, state.spin.s
         length = c * c * s * s + 10.0 * c * s + 20.0
         if not math.isfinite(length):
@@ -156,7 +147,7 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
     # log Poisson(lam - t) <= -t^2/(2 lam) and log Poisson(lam + t) <=
     # -t^2/(2 (lam + t/3)) for t >= 0 confine such n to [first, last]
     g = np.log(weights, out=np.full(lam.shape, -np.inf), where=weights > 0) - LOG_TERM_FLOOR
-    keep = (lam > 0.0) & np.isfinite(lam) & (g > 0)
+    keep = (lam > 0.0) & (g > 0)
     w, lam, g = weights[keep], lam[keep], g[keep]
     reach = np.sqrt(2.0 * g) * np.sqrt(lam)
     first = np.clip(np.ceil(lam - reach), 0, cap + 1)
@@ -291,14 +282,3 @@ def photon_moments_numeric(dist: PhotonDistribution) -> tuple[float, float]:
     second = float(np.sum(n * n * dist.probabilities))
     return mean, math.sqrt(max(second - mean * mean, 0.0))
 
-
-def faraday_variance_operator(n_atoms: int, prefactor: float) -> tuple[float, float]:
-    """Mean and spread of the Faraday rotation operator on the initial state.
-
-    mean = prefactor * <S_z>/S = 0, spread = prefactor * dS_z/S = prefactor/sqrt(N_a).
-    """
-    if n_atoms < 1:
-        raise DomainError(f"need at least one atom, got {n_atoms}")
-    if prefactor < 0:
-        raise DomainError(f"prefactor must be >= 0, got {prefactor}")
-    return 0.0, prefactor / math.sqrt(n_atoms)

@@ -29,7 +29,6 @@ __all__ = [
     "SpinMoments",
     "initial_coherent_spin_state",
     "spin_moments",
-    "mean_spin_with_decay",
 ]
 
 
@@ -194,9 +193,3 @@ def spin_moments(state: DickeState) -> SpinMoments:
         xi=xi,
     )
 
-
-def mean_spin_with_decay(bare_mean_sx: float, c_spon: float) -> float:
-    """Mean spin reduced by spontaneous-emission decoherence, factor e^-C_spon^2."""
-    if c_spon < 0:
-        raise DomainError(f"c_spon must be non-negative, got {c_spon}")
-    return bare_mean_sx * float(np.exp(-(c_spon**2)))

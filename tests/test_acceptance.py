@@ -25,7 +25,7 @@ from dickesim import (
     spin_moments,
     squeezing_with_decay,
 )
-from dickesim.cat_analysis import cat_coherence, null_width, peak_report
+from dickesim.cat_analysis import cat_coherence, cat_peak_location, cat_peak_width, null_width
 from dickesim.fock_oracle import oracle_evolve, oracle_project, oracle_sequence
 from dickesim.physical_params import (
     SPON_COUPLING_CONSTANT,
@@ -136,8 +136,7 @@ def test_cat_structure():
 
     for c in (0.5, 1.0, 2.0, 3.0):
         for n_m in (1, 5, 30):
-            report = peak_report(c, n_m)
-            assert report.m_width / report.m_peak < 1.0
+            assert cat_peak_width(c, n_m) < cat_peak_location(c, n_m)
 
 
 def test_sequential_measurement():

@@ -7,9 +7,7 @@ from dickesim.cat_analysis import (
     cat_coherence,
     cat_peak_location,
     cat_peak_width,
-    cat_squeezing_xi_x,
     null_width,
-    peak_report,
 )
 from dickesim.detection import collapse
 from dickesim.errors import DomainError, ShapeError
@@ -52,9 +50,7 @@ class TestPeakWidth:
     def test_width_smaller_than_location(self):
         for c in (0.5, 1.0, 2.0, 3.0):
             for n_m in (1, 5, 30):
-                report = peak_report(c, n_m)
-                assert 0 < report.m_width < report.m_peak
-                assert report.distinguishable
+                assert 0 < cat_peak_width(c, n_m) < cat_peak_location(c, n_m)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -86,27 +82,6 @@ class TestNullWidth:
         cat = collapse(apply_pulse(initial_coherent_spin_state(20), 3.0), 30)
         with pytest.raises(ShapeError):
             null_width(cat)
-
-
-class TestCatSqueezing:
-    def test_boundary_of_subunitarity(self):
-        # n_m = S C^2 sits exactly at xi_x = 1
-        assert cat_squeezing_xi_x(20, 1.0, 10) == pytest.approx(1.0)
-
-    def test_zero_count(self):
-        assert cat_squeezing_xi_x(20, 2.0, 0) == 0.0
-
-    def test_subunitary_regime(self):
-        # C^2 = d_res/S with n_m < d_res gives xi_x = sqrt(n_m/d_res) < 1
-        d_res, s, n_m = 100.0, 10.0, 30
-        c = math.sqrt(d_res / s)
-        assert cat_squeezing_xi_x(20, c, n_m) == pytest.approx(math.sqrt(n_m / d_res))
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            cat_squeezing_xi_x(20, 0.0, 3)
-        with pytest.raises(DomainError):
-            cat_squeezing_xi_x(0, 1.0, 3)
 
 
 class TestCatCoherence:

@@ -31,6 +31,13 @@ def run_cli(args, cwd=None):
     )
 
 
+def assert_one_line_error(result, code, message):
+    """Exit code and a single stderr line holding message: no traceback, no warning."""
+    assert result.returncode == code
+    assert message in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 def read_csv(path: Path):
     with path.open(newline="") as fh:
         rows = list(csv.reader(fh))
@@ -77,7 +84,7 @@ class TestStatistics:
 
     @pytest.mark.parametrize(
         "args",
-        [["-C", "1e200"], ["-C", "1", "--n-max", "10000000"]],
+        [["-C", "1e150"], ["-C", "1", "--n-max", "10000000"]],
         ids=["default-length-overflows", "n-max-over-limit"],
     )
     def test_table_over_the_length_limit_exits_2(self, tmp_path, args):
@@ -134,6 +141,12 @@ class TestCollapse:
         )
         assert result.returncode == 2
 
+    def test_overflowing_strength_exits_2(self, tmp_path):
+        # (C S)^2 = 1e402 is not a finite double
+        result = run_cli(["collapse", "-N", "20", "-C", "1e200", "-n", "0", "--out", str(tmp_path)])
+        assert_one_line_error(result, 2, "(C S)^2 finite")
+        assert not (tmp_path / "collapse.csv").exists()
+
 
 class TestTrajectory:
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
@@ -182,11 +195,28 @@ class TestTrajectory:
 
     def test_emitted_law_over_the_length_limit_exits_2(self, tmp_path):
         result = run_cli(
-            ["trajectory", "-N", "20", "--pulses", '[{"C": 1e200}]', "--seed", "1", "--emit-dists", "--out", str(tmp_path)]
+            ["trajectory", "-N", "20", "--pulses", '[{"C": 1e150}]', "--seed", "1", "--emit-dists", "--out", str(tmp_path)]
         )
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
         assert "exceeds the limit" in result.stderr
+
+    def test_unsampleable_count_exits_2(self, tmp_path):
+        # branch M = +-10 has lambda = 1e22, beyond numpy's Poisson sampler
+        result = run_cli(["trajectory", "-N", "20", "--pulses", '[{"C": 1e10}]', "--seed", "2", "--out", str(tmp_path)])
+        assert_one_line_error(result, 2, "cannot sample a count")
+        assert not (tmp_path / "trajectory.jsonl").exists()
+
+    @pytest.mark.parametrize("force_n,code", [("1.5", 1), ("1.0", 0)])
+    def test_forced_count_must_be_integral(self, tmp_path, force_n, code):
+        pulses = f'[{{"C": 1, "force_n": {force_n}}}]'
+        result = run_cli(["trajectory", "-N", "20", "--pulses", pulses, "--seed", "1", "--out", str(tmp_path)])
+        if code:
+            assert_one_line_error(result, code, "force_n must be an integer, got 1.5")
+            assert not (tmp_path / "trajectory.jsonl").exists()
+        else:
+            assert result.returncode == 0
+            assert json.loads((tmp_path / "trajectory.jsonl").read_text())["n_m"] == 1
 
     def test_empty_pulse_list(self, tmp_path):
         result = run_cli(
@@ -290,6 +320,17 @@ class TestSqueezeScan:
         summary = json.loads((tmp_path / "squeeze_scan_summary.json").read_text(), parse_constant=reject)
         assert summary["decay"]["argmin_C"] == 1.0
 
+    @pytest.mark.parametrize(
+        "c_max,c_step", [("1e9", "1e-9"), ("inf", "1")], ids=["too-long", "infinite"]
+    )
+    def test_grid_over_the_length_limit_exits_2(self, tmp_path, c_max, c_step):
+        out = tmp_path / "scan"
+        result = run_cli(
+            ["squeeze-scan", "-N", "20", "--mu", "0.5", "--c-min", "1", "--c-max", c_max, "--c-step", c_step, "--out", str(out)]
+        )
+        assert_one_line_error(result, 2, "exceeds the limit")
+        assert not out.exists()
+
     def test_no_model_exits_1(self, tmp_path):
         result = run_cli(
             ["squeeze-scan", "-N", "20", "--c-min", "1", "--c-max", "2", "--c-step", "0.5", "--out", str(tmp_path)]
@@ -360,6 +401,20 @@ class TestPhysical:
         path.write_text('{"gamma": 1, "bogus": 2}')
         result = run_cli(["physical", str(path), "--out", str(tmp_path)])
         assert result.returncode == 1
+
+    @pytest.mark.parametrize("shift,code", [(0.5, 1), (0.0, 0)], ids=["fractional", "integral-float"])
+    def test_atom_count_must_be_integral(self, tmp_path, shift, code):
+        path = self.write_config(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["N_a"] = payload["N_a"] + shift  # a float either way
+        path.write_text(json.dumps(payload))
+        result = run_cli(["physical", str(path), "--out", str(tmp_path)])
+        if code:
+            assert_one_line_error(result, code, "N_a must be an integer")
+            assert not (tmp_path / "physical.json").exists()
+        else:
+            assert result.returncode == 0
+            assert json.loads((tmp_path / "physical.json").read_text())["warnings"] == []
 
     def test_missing_file_exits_1(self, tmp_path):
         result = run_cli(["physical", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

@@ -16,7 +16,7 @@ from dickesim.detection import (
 )
 from dickesim.errors import ConditioningError, DomainError
 from dickesim.pulse_scattering import apply_pulse, photon_distribution
-from dickesim.spin_basis import DickeState, initial_coherent_spin_state, spin_moments
+from dickesim.spin_basis import DickeState, SpinQuantum, initial_coherent_spin_state, spin_moments
 
 from reference_paths import dense_rho, dense_xi, kernel_collapse_dense, photon_distribution_direct
 
@@ -201,6 +201,13 @@ class TestSampling:
         joint = apply_pulse(initial_coherent_spin_state(4), 0.0)
         rng = np.random.default_rng(0)
         assert all(sample_outcome(joint, rng) == 0 for _ in range(10))
+
+    def test_unsampleable_count_is_a_domain_error(self):
+        # all mass on M = 10 at C = 1e10: lambda = 1e22, beyond numpy's Poisson sampler
+        spin = SpinQuantum(20)
+        top = DickeState(spin, np.eye(spin.dim)[-1])
+        with pytest.raises(DomainError, match="cannot sample a count"):
+            sample_outcome(apply_pulse(top, 1e10), np.random.default_rng(0))
 
 
 class TestTrajectory:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
@@ -9,9 +10,6 @@ from dickesim.physical_params import (
     PhysicalConfig,
     c_spon,
     derive_strengths,
-    faraday_angle,
-    faraday_prefactor,
-    inefficiency_optimum,
     measurement_strength,
     measurement_strength_photon_form,
     optical_depths,
@@ -38,6 +36,17 @@ class TestPhysicalConfig:
             }
         )
         assert PhysicalConfig.from_json(text) == lab_config
+
+    @pytest.mark.parametrize("n_a", [2.7, 20000.5, math.inf, math.nan])
+    def test_non_integral_atom_count_rejected(self, lab_config, n_a):
+        text = json.dumps(dict(asdict(lab_config), N_a=n_a))
+        with pytest.raises(ConfigError, match="N_a must be an integer"):
+            PhysicalConfig.from_json(text)
+
+    def test_integral_float_atom_count_accepted(self, lab_config):
+        config = PhysicalConfig.from_json(json.dumps(dict(asdict(lab_config), N_a=float(lab_config.N_a))))
+        assert config == lab_config
+        assert type(config.N_a) is int
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -108,22 +117,6 @@ class TestDerivedStrengths:
         assert SPON_COUPLING_CONSTANT == pytest.approx(3.0 / (16.0 * math.pi**2))
 
 
-class TestFaraday:
-    def test_zero_mean_spin_gives_zero_angle(self):
-        assert faraday_angle(1e-6, 0.0) == 0.0
-
-    def test_linear_and_odd(self):
-        assert faraday_angle(1e-6, 10.0) == pytest.approx(1e-5)
-        assert faraday_angle(1e-6, -10.0) == -faraday_angle(1e-6, 10.0)
-        assert faraday_angle(2e-6, 10.0) == 2 * faraday_angle(1e-6, 10.0)
-
-    def test_prefactor_sign_and_validation(self, lab_config):
-        pref = faraday_prefactor(lab_config, 1e-30)
-        assert pref > 0
-        with pytest.raises(DomainError):
-            faraday_prefactor(lab_config, -1.0)
-
-
 class TestSqueezingWithDecay:
     def test_value_at_known_point(self):
         # N_a=200, d_res=100, C=0.5: sqrt(2)/(10 * 0.5 * e^{-1/2})
@@ -167,14 +160,3 @@ class TestOptimalStrength:
             optimal_strength(0, 100.0)
         with pytest.raises(DomainError):
             optimal_strength(200, 0.0)
-
-
-class TestInefficiencyOptimum:
-    def test_values(self):
-        assert inefficiency_optimum(20, 0.0) == 1.0
-        assert inefficiency_optimum(20, 0.75) == pytest.approx(2.0)
-        assert inefficiency_optimum(20, 1.0) == math.inf
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            inefficiency_optimum(20, 1.5)

@@ -10,10 +10,8 @@ from scipy.stats import poisson
 from dickesim.errors import ContractViolationError, DomainError, TruncationError
 from dickesim.pulse_scattering import (
     MAX_TABLE_LENGTH,
-    PulseStrength,
     apply_pulse,
     distribution_peaks,
-    faraday_variance_operator,
     photon_distribution,
     photon_moments_closed_form,
     photon_moments_numeric,
@@ -43,22 +41,31 @@ def assert_same_law(got, want):
 
 
 class TestPulseStrength:
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            PulseStrength(-0.1)
-        with pytest.raises(DomainError):
-            PulseStrength(math.nan)
-
     def test_zero_allowed(self):
-        assert PulseStrength(0.0).c == 0.0
+        joint = apply_pulse(initial_coherent_spin_state(4), 0.0)
+        assert joint.c == 0.0
 
 
 class TestApplyPulse:
     def test_zero_strength_is_identity(self):
         state = initial_coherent_spin_state(6)
         joint = apply_pulse(state, 0.0)
+        assert joint.c == 0.0
         np.testing.assert_array_equal(joint.field_alphas, np.zeros(7))
         np.testing.assert_array_equal(joint.populations(), state.populations())
+
+    @pytest.mark.parametrize("c", [-0.1, -math.inf, math.nan, math.inf])
+    def test_negative_or_non_finite_strength_rejected(self, c):
+        with pytest.raises(DomainError, match="pulse strength"):
+            apply_pulse(initial_coherent_spin_state(4), c)
+
+    def test_overflowing_intensity_rejected(self):
+        # at S = 2, (C S)^2 = 4e400 overflows; just below the largest double it does not
+        with pytest.raises(DomainError, match=r"\(C S\)\^2 finite"):
+            apply_pulse(initial_coherent_spin_state(4), 1e200)
+        joint = apply_pulse(initial_coherent_spin_state(4), 6e153)  # (C S)^2 = 1.44e308
+        assert np.all(np.isfinite(joint.intensities()))
+        assert np.isfinite(photon_distribution(joint, 10).tail_mass)
 
     def test_two_atom_branches(self):
         joint = apply_pulse(initial_coherent_spin_state(2), 1.0)
@@ -136,17 +143,11 @@ class TestPhotonDistribution:
         joint = apply_pulse(initial_coherent_spin_state(4), 1.0)
         with pytest.raises(DomainError):
             photon_distribution(joint, MAX_TABLE_LENGTH)
-        with pytest.raises(DomainError):  # the default length overflows to inf
-            photon_distribution(apply_pulse(initial_coherent_spin_state(4), 1e200))
-
-    def test_overflowed_intensity_leaves_its_mass_in_the_tail(self):
-        # (C M)^2 overflows to inf for M != 0; only M = 0 (population 6/16) lands in the table
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            joint = apply_pulse(initial_coherent_spin_state(4), 1e200)
-            dist = photon_distribution(joint, 10)
-        assert dist.probabilities[0] == pytest.approx(0.375, rel=1e-14)
-        assert np.all(dist.probabilities[1:] == 0.0)
-        assert dist.tail_mass == pytest.approx(0.625, rel=1e-14)
+        with pytest.raises(DomainError, match="exceeds the limit"):  # default length 4e300
+            photon_distribution(apply_pulse(initial_coherent_spin_state(4), 1e150))
+        # at S = 1/2, (C S)^2 = 5.6e307 is finite but the default length C^2 S^2 overflows
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            photon_distribution(apply_pulse(initial_coherent_spin_state(1), 1.5e154))
 
     # random complex amplitudes make rho_MM != rho_-M,-M, so the +-M merge
     # is exercised; keeping one or two of them leaves single branches whose
@@ -376,16 +377,3 @@ class TestMoments:
             photon_moments_closed_form(0, 1.0)
         with pytest.raises(DomainError):
             photon_moments_closed_form(10, -1.0)
-
-
-class TestFaradayVarianceOperator:
-    def test_values(self):
-        mean, spread = faraday_variance_operator(400, 2.0)
-        assert mean == 0.0
-        assert spread == pytest.approx(0.1)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            faraday_variance_operator(0, 1.0)
-        with pytest.raises(DomainError):
-            faraday_variance_operator(10, -1.0)

@@ -12,7 +12,6 @@ from dickesim.spin_basis import (
     SpinQuantum,
     binomial_amplitudes,
     initial_coherent_spin_state,
-    mean_spin_with_decay,
     spin_moments,
 )
 
@@ -235,14 +234,6 @@ class TestBandedMoments:
     def test_unnormalized_density_matrix_rejected(self):
         with pytest.raises(ContractViolationError):
             spin_moments(DickeState(SpinQuantum(2), np.ones(3), 1.0))
-
-
-class TestDecay:
-    def test_mean_spin_with_decay(self):
-        assert mean_spin_with_decay(10.0, 0.0) == 10.0
-        assert mean_spin_with_decay(10.0, 1.0) == pytest.approx(10.0 / math.e)
-        with pytest.raises(DomainError):
-            mean_spin_with_decay(10.0, -0.1)
 
 
 def test_binomial_amplitudes_match_scalar_form():
