@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 from scipy.optimize import bisect
 
 from .errors import DomainError, ShapeError
@@ -19,7 +18,6 @@ from .spin_basis import DickeState
 __all__ = [
     "cat_peak_location",
     "cat_peak_width",
-    "null_width",
     "cat_coherence",
 ]
 
@@ -53,37 +51,6 @@ def cat_peak_width(c: float, n_m: int) -> float:
     if f(hi) > 0.0:
         raise ShapeError("no sign change in (0, M_m]; width root not bracketed")
     return float(bisect(f, lo, hi, xtol=1e-10, maxiter=200))
-
-
-def null_width(state: DickeState) -> float:
-    """1/e half-width in M of a distribution unimodal at M = 0.
-
-    Smallest |M| where the population drops to 1/e of the M = 0 value.  The
-    crossing is located by interpolating log-populations linearly in M^2,
-    which is exact for Gaussian profiles and so resolves widths below the
-    unit lattice spacing.
-    """
-    spin = state.spin
-    if spin.s_twice % 2 != 0:
-        raise ShapeError("M = 0 lattice point requires an even atom number")
-    pop = state.populations()
-    center = spin.s_twice // 2
-    p0 = pop[center]
-    if np.argmax(pop) != center:
-        raise ShapeError("distribution is not peaked at M = 0")
-    right = pop[center:]
-    if np.any(np.diff(right) > 1e-12 * p0):
-        raise ShapeError("distribution is not unimodal around M = 0")
-    target = p0 / math.e
-    below = np.nonzero(right < target)[0]
-    if below.size == 0:
-        raise ShapeError("distribution never drops to 1/e of its peak")
-    j = int(below[0])
-    log_hi = math.log(right[j - 1] / p0)
-    log_lo = math.log(right[j] / p0)
-    frac = (log_hi + 1.0) / (log_hi - log_lo)
-    m_sq = (j - 1) ** 2 + frac * (j * j - (j - 1) ** 2)
-    return float(math.sqrt(m_sq))
 
 
 def cat_coherence(state: DickeState, m_arm: int) -> float:

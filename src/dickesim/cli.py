@@ -51,6 +51,9 @@ TABLE_CHUNK_ROWS = 2**16
 
 
 def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
+    # the output directory is made by the first write, after a command's
+    # inputs are checked and its computation succeeded, so a failed run
+    # leaves no directory behind
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -120,12 +123,6 @@ def main() -> None:
     """Conditional spin squeezing from single-channel photon counting."""
 
 
-def _common_out(out: str) -> Path:
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 @main.command()
 @click.option("--n-atoms", "-N", "n_atoms", type=int, required=True)
 @click.option("--strength", "-C", "c", type=float, required=True)
@@ -135,14 +132,14 @@ def _common_out(out: str) -> Path:
 @click.option("--gnuplot", is_flag=True, help="Also write a gnuplot script.")
 def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gnuplot: bool) -> None:
     """Tabulate the scattered-photon number distribution and its peaks."""
-    out_dir = _common_out(out)
     state = initial_coherent_spin_state(n_atoms)
     joint = apply_pulse(state, c)
     dist = photon_distribution(joint, n_max)
+    peaks = distribution_peaks(dist.probabilities)
+    out_dir = Path(out)
     table = _emit_table(
         out_dir / "statistics", [np.arange(dist.n_max + 1), dist.probabilities], ("n", "P_n"), fmt
     )
-    peaks = distribution_peaks(dist.probabilities)
     sidecar = out_dir / "statistics_peaks.json"
     _write_json(
         sidecar,
@@ -180,7 +177,6 @@ def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gn
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt: str) -> None:
     """Collapse the initial state on a photon-count outcome; emit P_a(M)."""
-    out_dir = _common_out(out)
     state = initial_coherent_spin_state(n_atoms)
     collapsed = collapse(apply_pulse(state, c, mu), n_m)
     moments = spin_moments(collapsed)
@@ -203,6 +199,7 @@ def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt:
                 summary["coherence"] = cat_coherence(collapsed, arm)
             except DomainError:
                 summary["coherence"] = None
+    out_dir = Path(out)
     table = _emit_table(out_dir / "collapse", [m_values, collapsed.populations()], ("M", "P_a"), fmt)
     sidecar = out_dir / "collapse_summary.json"
     _write_json(sidecar, summary)
@@ -228,7 +225,6 @@ def _forced_count(value) -> int:
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: bool, out: str) -> None:
     """Run a sequential-pulse measurement trajectory; emit JSONL records."""
-    out_dir = _common_out(out)
     try:
         raw = json.loads(pulses_json)
         if not isinstance(raw, list):
@@ -247,6 +243,7 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
         seed = int.from_bytes(os.urandom(4), "big")
     state = initial_coherent_spin_state(n_atoms)
     run = run_trajectory(state, specs, seed=seed, collect_distributions=emit_dists)
+    out_dir = Path(out)
     jsonl_path = out_dir / "trajectory.jsonl"
     _write_atomic(jsonl_path, [run.record.to_jsonl()])
     outputs = [jsonl_path]
@@ -336,7 +333,7 @@ def squeeze_scan(
             "argmin_C": float(grid[k]),
             "min_xi": float(xi_mu[k]),
         }
-    out_dir = _common_out(out)
+    out_dir = Path(out)
     table = _emit_table(out_dir / "squeeze_scan", series, tuple(columns), fmt)
     sidecar = out_dir / "squeeze_scan_summary.json"
     _write_json(sidecar, summary)
@@ -366,7 +363,6 @@ def squeeze_scan(
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 def physical(config_path: str, out: str) -> None:
     """Map a laboratory config JSON to the dimensionless model parameters."""
-    out_dir = _common_out(out)
     config = PhysicalConfig.from_json(Path(config_path))
     strengths = derive_strengths(config)
     c_photon = measurement_strength_photon_form(config)
@@ -386,6 +382,7 @@ def physical(config_path: str, out: str) -> None:
                 f"spontaneous-emission and photon-number forms of C disagree by factor {ratio:.3g}"
             )
     payload = dict(strengths.to_dict(), C_photon_form=c_photon, warnings=warnings_list)
+    out_dir = Path(out)
     result = out_dir / "physical.json"
     _write_json(result, payload)
     outputs = [result]

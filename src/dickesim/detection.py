@@ -8,11 +8,11 @@ by the Schur kernel
          = k_M k_N exp[-(1 - mu) C^2 (M - N)^2 / 2],
     k_M  = (C M)^n exp(-mu C^2 M^2 / 2),
 
-and normalising by the trace.  So a state rho_MN = a_M conj(a_N)
-exp[-Gamma (M - N)^2 / 2] keeps that form, with a -> k a and Gamma -> Gamma
-+ (1 - mu) C^2; at mu = 1 a pure state stays pure.  The trace of the
-conditioned state is P(n) n!/mu^n, so the outcome probability and the
-collapse share one sum.
+and normalising by the trace.  So a state rho_MN = a_M a_N exp[-Gamma
+(M - N)^2 / 2] with real a keeps that form, with a -> k a and Gamma ->
+Gamma + (1 - mu) C^2: k is real, so the amplitudes stay real, and at mu = 1
+a pure state stays pure.  The trace of the conditioned state is
+P(n) n!/mu^n, so the outcome probability and the collapse share one sum.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .errors import ConditioningError, DomainError
+from .errors import ConditioningError, DickesimError, DomainError
 from .pulse_scattering import JointState, PhotonDistribution, apply_pulse, photon_distribution
 from .spin_basis import DickeState, spin_moments
 
@@ -62,7 +61,7 @@ def _kernel_diagonal(joint: JointState, n_m: int) -> tuple[np.ndarray, float, fl
     if n_m % 2:
         k *= np.sign(cm)
     t = float(np.sum(pop * k * k))
-    log_p = shift + math.log(t) - gammaln(n_m + 1)
+    log_p = shift + math.log(t) - math.lgamma(n_m + 1)
     if n_m > 0:
         log_p += n_m * math.log(joint.mu) if joint.mu > 0 else -math.inf
     return k, t, log_p
@@ -83,9 +82,10 @@ def collapse(joint: JointState, n_m: int) -> DickeState:
     if log_p < LOG_PROB_FLOOR:
         raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
     state = joint.state
-    ka = k * state.amplitudes
+    k *= state.amplitudes
+    k *= 1.0 / math.sqrt(t)  # a reciprocal, not a division: keeps seeded outputs bit-stable
     dephasing = state.dephasing + (1.0 - joint.mu) * joint.c * joint.c
-    return DickeState(state.spin, ka / math.sqrt(t), dephasing)
+    return DickeState(state.spin, k, dephasing)
 
 
 def sample_outcome(joint: JointState, rng: np.random.Generator) -> int:
@@ -175,7 +175,8 @@ def run_trajectory(
     Each mu < 1 pulse adds (1 - mu) C^2 to the dephasing of the state; the
     state stays pure while every detection so far was perfect.  With
     collect_distributions, the detected-count law of every pulse is recorded
-    before its outcome.
+    before its outcome.  A DickesimError in pulse i is raised again as the
+    same type with its message prefixed "pulse i: ".
     """
     initial.require_normalized()
     rng = np.random.default_rng(seed)
@@ -184,15 +185,15 @@ def run_trajectory(
     state = initial
 
     for idx, spec in enumerate(pulses):
-        joint = apply_pulse(state, spec.c, spec.mu)
-        if collect_distributions:
-            dists.append(photon_distribution(joint))
-        n_m = spec.force_n if spec.force_n is not None else sample_outcome(joint, rng)
         try:
+            joint = apply_pulse(state, spec.c, spec.mu)
+            if collect_distributions:
+                dists.append(photon_distribution(joint))
+            n_m = spec.force_n if spec.force_n is not None else sample_outcome(joint, rng)
             state = collapse(joint, n_m)
-        except ConditioningError as exc:
-            raise ConditioningError(f"pulse {idx}: {exc}") from exc
-        moments = spin_moments(state)
+            moments = spin_moments(state)
+        except DickesimError as exc:
+            raise type(exc)(f"pulse {idx}: {exc}") from exc
         results.append(
             PulseResult(
                 pulse_index=idx,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln, xlogy
 
-from .errors import ConditioningError, DomainError, TruncationError
+from .errors import ConditioningError, ConsistencyError, DomainError, TruncationError
 from .spin_basis import DickeState, SpinQuantum
 
 __all__ = ["TruncatedJointState", "oracle_evolve", "oracle_project", "oracle_detect", "oracle_sequence"]
@@ -68,22 +68,22 @@ def min_fock_dim(c: float, s: float) -> int:
     return int(math.ceil((c * s) ** 2 + 10.0 * c * s + 20.0))
 
 
-def oracle_evolve(state: DickeState, c: float, fock_dim: int | None = None) -> TruncatedJointState:
-    """Apply exp[-iC M (c^dag + c)] per column by dense matrix exponentiation."""
+def _checked_fock_dim(spin: SpinQuantum, c: float, fock_dim: int | None) -> int:
+    """The Fock dimension for strength c: fock_dim, or the smallest safe one when None."""
     if c < 0:
         raise DomainError(f"pulse strength must be >= 0, got {c}")
-    if state.dephasing != 0.0:
-        raise DomainError("oracle_evolve needs a pure state (dephasing 0)")
-    spin = state.spin
     if spin.s > MAX_ORACLE_S:
         raise DomainError(f"oracle is desk-scale only: S = {spin.s} > {MAX_ORACLE_S}")
     needed = min_fock_dim(c, spin.s)
     if fock_dim is None:
-        fock_dim = needed
-    elif fock_dim < needed:
+        return needed
+    if fock_dim < needed:
         raise DomainError(f"fock_dim {fock_dim} below required {needed}")
-    state.require_normalized()
+    return fock_dim
 
+
+def _evolve(spin: SpinQuantum, vector: np.ndarray, c: float, fock_dim: int) -> TruncatedJointState:
+    """Apply exp[-iC M (c^dag + c)] to a unit atomic vector (any phases) column by column."""
     k = _quadrature_generator(fock_dim)
     e0 = np.zeros(fock_dim, dtype=complex)
     e0[0] = 1.0
@@ -93,7 +93,7 @@ def oracle_evolve(state: DickeState, c: float, fock_dim: int | None = None) -> T
             column = e0
         else:
             column = expm(-1j * c * m * k) @ e0
-        amps[idx] = state.amplitudes[idx] * column
+        amps[idx] = vector[idx] * column
 
     joint = TruncatedJointState(spin=spin, fock_dim=fock_dim, amplitudes=amps)
     leakage = abs(1.0 - joint.norm_sq())
@@ -102,15 +102,37 @@ def oracle_evolve(state: DickeState, c: float, fock_dim: int | None = None) -> T
     return joint
 
 
+def oracle_evolve(state: DickeState, c: float, fock_dim: int | None = None) -> TruncatedJointState:
+    """Apply exp[-iC M (c^dag + c)] per column by dense matrix exponentiation."""
+    fock_dim = _checked_fock_dim(state.spin, c, fock_dim)
+    if state.dephasing != 0.0:
+        raise DomainError("oracle_evolve needs a pure state (dephasing 0)")
+    state.require_normalized()
+    return _evolve(state.spin, state.amplitudes, c, fock_dim)
+
+
 def oracle_project(joint: TruncatedJointState, n_m: int) -> DickeState:
-    """Exact projective measurement of the photon number: keep Fock column n_m."""
+    """Exact projective measurement of the photon number: keep Fock column n_m.
+
+    Branch M's column entry carries the global phase (-i)^n_m of the
+    displaced vacuum, so the column is divided by the phase of its largest
+    entry (which then is positive) and must come out real: an imaginary
+    part above 1e-12 of its norm is a ConsistencyError.
+    """
     if not 0 <= n_m < joint.fock_dim:
         raise DomainError(f"n_m = {n_m} outside truncated Fock space 0..{joint.fock_dim - 1}")
     column = joint.amplitudes[:, n_m]
-    weight = float(np.sum(np.abs(column) ** 2))
-    if weight <= 1e-300:
+    norm = math.sqrt(float(np.sum(np.abs(column) ** 2)))
+    if norm * norm <= 1e-300:
         raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
-    return DickeState(joint.spin, column / math.sqrt(weight))
+    largest = column[np.argmax(np.abs(column))]
+    column = column * (abs(largest) / largest)
+    leftover = float(np.linalg.norm(column.imag))
+    if leftover > 1e-12 * norm:
+        raise ConsistencyError(
+            f"column n_m={n_m} keeps an imaginary part {leftover:.3g} at norm {norm:.3g} after its phase"
+        )
+    return DickeState(joint.spin, column.real / norm)
 
 
 def oracle_detect(joint: TruncatedJointState, n_m: int, mu: float) -> np.ndarray:
@@ -141,20 +163,23 @@ def oracle_detect(joint: TruncatedJointState, n_m: int, mu: float) -> np.ndarray
 def oracle_sequence(state: DickeState, pulses: list[tuple[float, float, int]]) -> np.ndarray:
     """Dense rho of `state` conditioned on the detected counts of pulses (C, mu, n_m) in turn.
 
-    Each ensemble vector is evolved by oracle_evolve and split by
-    oracle_detect.  Between pulses the ensemble W is replaced by R^dag from
-    the QR factorisation W^dag = QR, which keeps W W^dag exactly and at most
-    2S+1 vectors.
+    Each ensemble vector, complex in general, is evolved as a plain array
+    and split by oracle_detect.  Between pulses the ensemble W is replaced
+    by R^dag from the QR factorisation W^dag = QR, which keeps W W^dag
+    exactly and at most 2S+1 vectors.
     """
     spin = state.spin
+    if state.dephasing != 0.0:
+        raise DomainError("oracle_sequence needs a pure state (dephasing 0)")
     vectors = state.amplitudes[:, None]
     for c, mu, n_m in pulses:
+        fock_dim = _checked_fock_dim(spin, c, None)
         parts = []
         for v in vectors.T:
             weight = float(np.linalg.norm(v))
             if weight == 0.0:
                 continue
-            joint = oracle_evolve(DickeState(spin, v / weight), c)
+            joint = _evolve(spin, v / weight, c, fock_dim)
             parts.append(weight * oracle_detect(joint, n_m, mu))
         stacked = np.concatenate(parts, axis=1)
         if np.sum(np.abs(stacked) ** 2) <= 1e-300:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError
 from .spin_basis import DickeState, SpinQuantum
 
 # Largest photon-law table, n = 0..n_max, that photon_distribution builds
@@ -36,8 +36,6 @@ __all__ = [
     "photon_distribution",
     "DistributionPeak",
     "distribution_peaks",
-    "photon_moments_closed_form",
-    "photon_moments_numeric",
 ]
 
 
@@ -252,33 +250,3 @@ def _first_where(p: np.ndarray, start: int, step: int, hit: Callable[[np.ndarray
         start += step * block.size
         width *= 2
     return start
-
-
-def photon_moments_closed_form(n_atoms: int, c: float) -> tuple[float, float]:
-    """Mean and std of the photon number for the initial binomial state.
-
-    mean = C^2 N_a / 4, std = C^2 sqrt((N_a/4) [(N_a-1)/2 + 1/C^2]).
-    C = 0 returns (0, 0) by continuity.
-    """
-    if n_atoms < 1:
-        raise DomainError(f"need at least one atom, got {n_atoms}")
-    if c < 0:
-        raise DomainError(f"pulse strength must be >= 0, got {c}")
-    if c == 0.0:
-        return 0.0, 0.0
-    mean = c * c * n_atoms / 4.0
-    std = c * c * math.sqrt((n_atoms / 4.0) * ((n_atoms - 1) / 2.0 + 1.0 / (c * c)))
-    return mean, std
-
-
-def photon_moments_numeric(dist: PhotonDistribution) -> tuple[float, float]:
-    """First two moments of the tabulated distribution."""
-    if dist.tail_mass >= 1e-8:
-        raise TruncationError(
-            f"tail mass {dist.tail_mass} too large for reliable moments"
-        )
-    n = np.arange(dist.probabilities.size)
-    mean = float(np.sum(n * dist.probabilities))
-    second = float(np.sum(n * n * dist.probabilities))
-    return mean, math.sqrt(max(second - mean * mean, 0.0))
-

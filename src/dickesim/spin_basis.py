@@ -1,8 +1,11 @@
 """Collective spin states in the Dicke basis.
 
 States of N_a two-level atoms restricted to the fully symmetric subspace are
-stored over the S_z eigenvalues M = -S..S with S = N_a/2 as amplitudes a_M
-and a dephasing Gamma: rho_MN = a_M conj(a_N) exp[-Gamma (M - N)^2 / 2].
+stored over the S_z eigenvalues M = -S..S with S = N_a/2 as real amplitudes
+a_M and a dephasing Gamma: rho_MN = a_M a_N exp[-Gamma (M - N)^2 / 2].  The
+amplitudes are real because the binomial start is real and every pulse and
+every count is diagonal in S_z with a real conditioning kernel
+k_M = (C M)^n exp(-mu C^2 M^2 / 2); so <S_y> = 0 for every reachable state.
 All spin quantum numbers are carried internally as doubled integers
 (S_twice, M_twice) so half-integer values never touch floating point; the
 public API accepts the atom count N_a.
@@ -61,10 +64,12 @@ class SpinQuantum:
 
 @dataclass(frozen=True)
 class DickeState:
-    """rho_MN = a_M conj(a_N) exp[-dephasing (M - N)^2 / 2]; amplitudes[k] is a at M = -S + k.
+    """rho_MN = a_M a_N exp[-dephasing (M - N)^2 / 2]; amplitudes[k] is the real a at M = -S + k.
 
-    dephasing = 0 is a pure state.  rho is Hermitian and positive semidefinite
+    dephasing = 0 is a pure state.  rho is symmetric and positive semidefinite
     by the Schur product theorem (a projector times a Gaussian kernel).
+    Input with a nonzero imaginary part is a DomainError, never dropped;
+    input whose imaginary parts are all exactly 0.0 is stored as its real part.
     """
 
     spin: SpinQuantum
@@ -72,7 +77,12 @@ class DickeState:
     dephasing: float = 0.0
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        if not np.isrealobj(amps):
+            if not np.all(np.isreal(amps)):
+                raise DomainError("amplitudes must be real: a reachable state has no imaginary part")
+            amps = np.real(amps)
+        amps = np.asarray(amps, dtype=float)
         if amps.shape != (self.spin.dim,):
             raise DomainError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.spin.dim},)"
@@ -84,21 +94,15 @@ class DickeState:
 
     @property
     def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(np.sum(self.populations()))
 
     def populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def normalized(self) -> "DickeState":
-        n = np.sqrt(self.norm_sq)
-        if n == 0.0:
-            raise DomainError("cannot normalize the zero vector")
-        return DickeState(self.spin, self.amplitudes / n, self.dephasing)
+        return self.amplitudes * self.amplitudes
 
     def diagonal(self, k: int) -> np.ndarray:
-        """rho[M, M+k] = a_M conj(a_{M+k}) exp(-dephasing k^2 / 2) for M = -S..S-k."""
+        """rho[M, M+k] = a_M a_{M+k} exp(-dephasing k^2 / 2) for M = -S..S-k."""
         a = self.amplitudes
-        return a[: a.size - k] * a[k:].conj() * math.exp(-0.5 * self.dephasing * k * k)
+        return a[: a.size - k] * a[k:] * math.exp(-0.5 * self.dephasing * k * k)
 
     def require_normalized(self, tol: float = NORM_TOL) -> None:
         if abs(self.norm_sq - 1.0) > tol:
@@ -110,7 +114,6 @@ class DickeState:
 @dataclass(frozen=True)
 class SpinMoments:
     mean_sx: float
-    mean_sy: float
     mean_sz: float
     var_sz: float
     var_sy: float
@@ -137,59 +140,50 @@ def binomial_amplitudes(spin: SpinQuantum) -> np.ndarray:
 def initial_coherent_spin_state(n_atoms: int) -> DickeState:
     """The S_x = S eigenstate: real positive binomial amplitudes A(S,M)."""
     spin = SpinQuantum(n_atoms)
-    return DickeState(spin, binomial_amplitudes(spin).astype(complex))
+    return DickeState(spin, binomial_amplitudes(spin))
 
 
 def spin_moments(state: DickeState) -> SpinMoments:
     """Every first and second moment of the collective spin, and xi.
 
-    With S_+|M> = c_M |M+1>, three band sums carry everything beyond the
-    populations: <S_+> = sum c_M rho[M,M+1], <{S_+,S_z}> = sum (2M+1) c_M
-    rho[M,M+1] and <S_+^2> = sum c_M c_{M+1} rho[M,M+2].  Then
-    S_x^2 + S_y^2 = S(S+1) - S_z^2 and S_+^2 = S_x^2 - S_y^2 + i{S_x,S_y}
-    give the x-y block of the second moments.  xi = sqrt(2S) dS_perp/|<S>|
-    uses the smaller principal variance orthogonal to the mean spin; it and
-    var_perp are None when the mean spin vanishes.
+    With S_+|M> = c_M |M+1>, three real band sums carry everything beyond
+    the populations: <S_x> = sum c_M rho[M,M+1], <{S_x,S_z}> = sum (2M+1)
+    c_M rho[M,M+1] and <S_x^2 - S_y^2> = sum c_M c_{M+1} rho[M,M+2], while
+    S_x^2 + S_y^2 = S(S+1) - S_z^2.  Real amplitudes make <S_y>, cov_xy and
+    cov_yz vanish, so the covariance is an (x, z) block plus C_yy.  The
+    plane orthogonal to the mean spin u is spanned by y and e = (-u_z, 0,
+    u_x), so var_perp = min(C_yy, e^T C e) and xi = sqrt(2S) dS_perp/|<S>|;
+    both are None when the mean spin vanishes.
     """
     state.require_normalized()
     s = state.spin.s
     m = state.spin.m_values()
-    pop = np.real(state.diagonal(0))
+    pop = state.diagonal(0)
     ladder = np.sqrt(np.maximum(s * (s + 1) - m[:-1] * (m[:-1] + 1), 0.0))
     band1 = state.diagonal(1)
-    sp = complex(np.sum(ladder * band1))
-    sp_sz = complex(np.sum((2.0 * m[:-1] + 1.0) * ladder * band1))
-    sp2 = complex(np.sum(ladder[:-1] * ladder[1:] * state.diagonal(2)))
+    mean_sx = float(np.sum(ladder * band1))
+    sx_sz = float(np.sum((2.0 * m[:-1] + 1.0) * ladder * band1))
+    sx2_minus_sy2 = float(np.sum(ladder[:-1] * ladder[1:] * state.diagonal(2)))
     mean_sz = float(np.sum(m * pop))
     sz2 = float(np.sum(m * m * pop))
     transverse = s * (s + 1) - sz2
-    mean = np.array([sp.real, sp.imag, mean_sz])
-    second = 0.5 * np.array(
-        [
-            [transverse + sp2.real, sp2.imag, sp_sz.real],
-            [sp2.imag, transverse - sp2.real, sp_sz.imag],
-            [sp_sz.real, sp_sz.imag, 2.0 * sz2],
-        ]
-    )
-    cov = second - np.outer(mean, mean)
-    length = float(np.linalg.norm(mean))
+    c_xx = 0.5 * (transverse + sx2_minus_sy2) - mean_sx * mean_sx
+    c_yy = 0.5 * (transverse - sx2_minus_sy2)
+    c_zz = sz2 - mean_sz * mean_sz
+    c_xz = 0.5 * sx_sz - mean_sx * mean_sz
+    length = math.hypot(mean_sx, mean_sz)
     var_perp = xi = None
     if length >= 1e-9:
-        u = mean / length
-        seed = np.array([0.0, 1.0, 0.0] if abs(u[2]) > 0.9 else [0.0, 0.0, 1.0])
-        e1 = seed - (seed @ u) * u
-        e1 /= np.linalg.norm(e1)
-        frame = np.array([e1, np.cross(u, e1)])
-        var_perp = max(float(np.linalg.eigvalsh(frame @ cov @ frame.T)[0]), 0.0)
-        xi = float(np.sqrt(2.0 * s) * np.sqrt(var_perp) / length)
+        ux, uz = mean_sx / length, mean_sz / length
+        c_ee = uz * uz * c_xx - 2.0 * ux * uz * c_xz + ux * ux * c_zz
+        var_perp = max(min(c_yy, c_ee), 0.0)
+        xi = math.sqrt(2.0 * s) * math.sqrt(var_perp) / length
     return SpinMoments(
-        mean_sx=float(mean[0]),
-        mean_sy=float(mean[1]),
+        mean_sx=mean_sx,
         mean_sz=mean_sz,
-        var_sz=max(float(cov[2, 2]), 0.0),
-        var_sy=max(float(cov[1, 1]), 0.0),
+        var_sz=max(c_zz, 0.0),
+        var_sy=max(c_yy, 0.0),
         mean_spin_length=length,
         var_perp=var_perp,
         xi=xi,
     )
-

@@ -18,14 +18,12 @@ from dickesim import (
     log_outcome_probability,
     optimal_strength,
     photon_distribution,
-    photon_moments_closed_form,
-    photon_moments_numeric,
     run_trajectory,
     sample_outcome,
     spin_moments,
     squeezing_with_decay,
 )
-from dickesim.cat_analysis import cat_coherence, cat_peak_location, cat_peak_width, null_width
+from dickesim.cat_analysis import cat_coherence, cat_peak_location, cat_peak_width
 from dickesim.fock_oracle import oracle_evolve, oracle_project, oracle_sequence
 from dickesim.physical_params import (
     SPON_COUPLING_CONSTANT,
@@ -34,6 +32,7 @@ from dickesim.physical_params import (
 )
 from dickesim.pulse_scattering import distribution_peaks
 
+from closed_forms import null_width, photon_moments_closed_form, photon_moments_numeric
 from conftest import consistent_config
 from reference_paths import assert_equal_up_to_phase, dense_rho, kernel_collapse_dense
 

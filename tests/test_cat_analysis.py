@@ -7,13 +7,13 @@ from dickesim.cat_analysis import (
     cat_coherence,
     cat_peak_location,
     cat_peak_width,
-    null_width,
 )
 from dickesim.detection import collapse
 from dickesim.errors import DomainError, ShapeError
 from dickesim.pulse_scattering import apply_pulse
 from dickesim.spin_basis import DickeState, SpinQuantum, initial_coherent_spin_state
 
+from closed_forms import null_width
 from reference_paths import dense_rho
 
 
@@ -112,7 +112,7 @@ class TestCatCoherence:
             cat_coherence(odd, 1)
 
     def test_vanishing_arm_population_rejected(self):
-        amps = np.zeros(5, dtype=complex)
+        amps = np.zeros(5)
         amps[2] = 1.0  # all weight at M = 0
         with pytest.raises(DomainError):
             cat_coherence(DickeState(SpinQuantum(4), amps, 0.5), 1)

@@ -95,6 +95,12 @@ class TestStatistics:
         assert not (tmp_path / "statistics.csv").exists()
 
 
+    def test_failed_run_leaves_no_out_directory(self, tmp_path):
+        out = tmp_path / "o1"
+        result = run_cli(["statistics", "-N", "20", "-C", "1e150", "--out", str(out)])
+        assert_one_line_error(result, 2, "exceeds the limit")
+        assert not out.exists()
+
     def test_default_table_is_a_prefix_of_the_formula_table(self, tmp_path):
         # the default table ends where the law's windows end; the formula
         # length (C S)^2 + 10 C S + 20 = 11020.000000000002 adds only zeros
@@ -146,6 +152,12 @@ class TestCollapse:
         result = run_cli(["collapse", "-N", "20", "-C", "1e200", "-n", "0", "--out", str(tmp_path)])
         assert_one_line_error(result, 2, "(C S)^2 finite")
         assert not (tmp_path / "collapse.csv").exists()
+
+    def test_failed_run_leaves_no_out_directory(self, tmp_path):
+        out = tmp_path / "o1"
+        result = run_cli(["collapse", "-N", "20", "-C", "1e200", "-n", "0", "--out", str(out)])
+        assert_one_line_error(result, 2, "(C S)^2 finite")
+        assert not out.exists()
 
 
 class TestTrajectory:
@@ -206,6 +218,13 @@ class TestTrajectory:
         result = run_cli(["trajectory", "-N", "20", "--pulses", '[{"C": 1e10}]', "--seed", "2", "--out", str(tmp_path)])
         assert_one_line_error(result, 2, "cannot sample a count")
         assert not (tmp_path / "trajectory.jsonl").exists()
+
+    def test_failing_pulse_is_named_and_leaves_no_out_directory(self, tmp_path):
+        out = tmp_path / "o1"
+        pulses = '[{"C": 1}, {"C": 1e10}]'
+        result = run_cli(["trajectory", "-N", "20", "--pulses", pulses, "--seed", "2", "--out", str(out)])
+        assert_one_line_error(result, 2, "pulse 1: cannot sample a count")
+        assert not out.exists()
 
     @pytest.mark.parametrize("force_n,code", [("1.5", 1), ("1.0", 0)])
     def test_forced_count_must_be_integral(self, tmp_path, force_n, code):
@@ -415,6 +434,14 @@ class TestPhysical:
         else:
             assert result.returncode == 0
             assert json.loads((tmp_path / "physical.json").read_text())["warnings"] == []
+
+    def test_failed_run_leaves_no_out_directory(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"gamma": 1, "bogus": 2}')
+        out = tmp_path / "o1"
+        result = run_cli(["physical", str(path), "--out", str(out)])
+        assert_one_line_error(result, 1, "config error")
+        assert not out.exists()
 
     def test_missing_file_exits_1(self, tmp_path):
         result = run_cli(["physical", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

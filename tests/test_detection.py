@@ -271,6 +271,28 @@ class TestTrajectory:
                 seed=0,
             )
 
+    @pytest.mark.parametrize(
+        "pulses,error,message",
+        [
+            ([PulseSpec(c=1.0), PulseSpec(c=0.0, force_n=3)], ConditioningError, "pulse 1: outcome n_m=3"),
+            ([PulseSpec(c=1.0), PulseSpec(c=1e200)], DomainError, "pulse 1: pulse strength"),
+            ([PulseSpec(c=1.0), PulseSpec(c=1e10)], DomainError, "pulse 1: cannot sample a count"),
+        ],
+        ids=["conditioning", "apply-pulse", "sample-outcome"],
+    )
+    def test_failing_pulse_is_named(self, pulses, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            run_trajectory(initial_coherent_spin_state(20), pulses, seed=2)
+
+    def test_states_stay_real_along_an_inefficient_trajectory(self):
+        # a seeded run replays its prefix, so each prefix ends in the state
+        # the full run passes through after that many pulses
+        state = initial_coherent_spin_state(40)
+        pulses = [PulseSpec(c=0.6, mu=0.7), PulseSpec(c=0.4, mu=0.9), PulseSpec(c=1.1, mu=0.5)]
+        finals = [run_trajectory(state, pulses[:k], seed=5).final_state for k in range(1, 4)]
+        assert [s.amplitudes.dtype for s in finals] == [np.float64] * 3
+        assert finals[-1].dephasing == pytest.approx(0.3 * 0.36 + 0.1 * 0.16 + 0.5 * 1.21, rel=1e-12)
+
     def test_collected_distributions(self):
         run = run_trajectory(
             initial_coherent_spin_state(20),
@@ -348,6 +370,6 @@ class TestRhoXi:
 
     def test_vanishing_mean_spin_returns_none(self):
         spin = initial_coherent_spin_state(4).spin
-        amps = np.zeros(5, dtype=complex)
+        amps = np.zeros(5)
         amps[0] = amps[4] = math.sqrt(0.5)  # balanced M = +-2 cat: no mean spin
         assert spin_moments(DickeState(spin, amps, 3.0)).xi is None

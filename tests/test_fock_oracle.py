@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from dickesim.errors import ConditioningError, DomainError
+from dickesim.errors import ConditioningError, ConsistencyError, DomainError
 from dickesim.fock_oracle import (
     TruncatedJointState,
     min_fock_dim,
@@ -14,6 +16,7 @@ from dickesim.pulse_scattering import apply_pulse, photon_distribution
 from dickesim.detection import collapse
 from dickesim.spin_basis import DickeState, SpinQuantum, initial_coherent_spin_state
 
+from closed_forms import normalized
 from reference_paths import assert_equal_up_to_phase, dense_rho
 
 
@@ -79,6 +82,37 @@ class TestProjection:
             fast = collapse(fast_joint, n_m)
             assert_equal_up_to_phase(fast.amplitudes, brute.amplitudes, atol=1e-12)
 
+    @pytest.mark.parametrize("c", [0.7, 1.3])
+    def test_real_projection_equals_collapse_sign_included(self, c):
+        # tilted towards M > 0, every column's largest entry sits at M > 0,
+        # where the oracle makes it positive and collapse's (C M)^n is too
+        spin = SpinQuantum(8)
+        tilt = np.exp(0.4 * spin.m_values())
+        tilted = normalized(DickeState(spin, initial_coherent_spin_state(8).amplitudes * tilt))
+        joint = oracle_evolve(tilted, c)
+        for n_m in range(8):
+            brute = oracle_project(joint, n_m)
+            assert brute.amplitudes.dtype == np.float64
+            fast = collapse(apply_pulse(tilted, c), n_m)
+            np.testing.assert_allclose(brute.amplitudes, fast.amplitudes, rtol=0, atol=1e-12)
+
+    def test_symmetric_state_keeps_its_relative_signs(self):
+        # at odd n_m the +-M entries of the binomial start tie in size and
+        # differ in sign, so only the global sign is the oracle's choice
+        state = initial_coherent_spin_state(6)
+        joint = oracle_evolve(state, 1.0)
+        for n_m in range(6):
+            brute = oracle_project(joint, n_m).amplitudes
+            fast = collapse(apply_pulse(state, 1.0), n_m).amplitudes
+            sign = 1.0 if n_m % 2 == 0 else math.copysign(1.0, brute @ fast)
+            np.testing.assert_allclose(brute, sign * fast, rtol=0, atol=1e-12)
+
+    def test_column_not_real_up_to_a_phase_is_inconsistent(self):
+        amps = np.zeros((3, 4), dtype=complex)
+        amps[:, 1] = [0.6, 0.0, 0.8j]  # two entries a quarter turn apart
+        with pytest.raises(ConsistencyError, match="imaginary part"):
+            oracle_project(TruncatedJointState(SpinQuantum(2), 4, amps), 1)
+
     def test_projection_is_normalized(self):
         joint = oracle_evolve(initial_coherent_spin_state(6), 0.7)
         assert oracle_project(joint, 2).norm_sq == pytest.approx(1.0, abs=1e-12)
@@ -127,6 +161,9 @@ class TestDetection:
             oracle_detect(joint, joint.fock_dim, 0.5)
         with pytest.raises(ConditioningError):
             oracle_sequence(initial_coherent_spin_state(4), [(0.0, 0.5, 2)])
+        state = initial_coherent_spin_state(4)
+        with pytest.raises(DomainError):
+            oracle_sequence(DickeState(state.spin, state.amplitudes, 0.5), [(1.0, 0.5, 2)])
 
 
 class TestTruncatedJointState:

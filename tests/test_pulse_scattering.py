@@ -13,8 +13,6 @@ from dickesim.pulse_scattering import (
     apply_pulse,
     distribution_peaks,
     photon_distribution,
-    photon_moments_closed_form,
-    photon_moments_numeric,
 )
 from dickesim.spin_basis import (
     DickeState,
@@ -22,6 +20,7 @@ from dickesim.spin_basis import (
     initial_coherent_spin_state,
 )
 
+from closed_forms import photon_moments_closed_form, photon_moments_numeric
 from reference_paths import (
     default_n_max,
     distribution_peaks_loop,
@@ -149,7 +148,7 @@ class TestPhotonDistribution:
         with pytest.raises(DomainError, match="exceeds the limit"):
             photon_distribution(apply_pulse(initial_coherent_spin_state(1), 1.5e154))
 
-    # random complex amplitudes make rho_MM != rho_-M,-M, so the +-M merge
+    # random real amplitudes make rho_MM != rho_-M,-M, so the +-M merge
     # is exercised; keeping one or two of them leaves single branches whose
     # own tails are the law's tails, and empty branches; a fraction of the
     # default n_max cuts branches mid-window
@@ -167,7 +166,7 @@ class TestPhotonDistribution:
     def test_windowed_law_matches_dense_law(self, odd, half_atoms, seed, sparse, c, mu, dephasing, cut):
         spin = SpinQuantum(2 * half_atoms + odd)
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
+        a = rng.normal(size=spin.dim)
         if sparse:
             a[rng.permutation(spin.dim)[rng.integers(1, 3) :]] = 0.0
         joint = apply_pulse(DickeState(spin, a / np.linalg.norm(a), dephasing), c, mu)
@@ -218,7 +217,7 @@ class TestPhotonDistribution:
     def test_default_table_drops_only_exact_zeros(self, odd, half_atoms, seed, sparse, c, mu, dephasing):
         spin = SpinQuantum(2 * half_atoms + odd)
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
+        a = rng.normal(size=spin.dim)
         if sparse:
             a[rng.permutation(spin.dim)[rng.integers(1, 3) :]] = 0.0
         joint = apply_pulse(DickeState(spin, a / np.linalg.norm(a), dephasing), c, mu)

@@ -15,6 +15,7 @@ from dickesim.spin_basis import (
     spin_moments,
 )
 
+from closed_forms import normalized
 from reference_paths import (
     apply_sx,
     apply_sy,
@@ -54,7 +55,7 @@ class TestDickeState:
         state = DickeState(SpinQuantum(2), np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ContractViolationError):
             state.require_normalized()
-        assert abs(state.normalized().norm_sq - 1.0) < 1e-14
+        assert abs(normalized(state).norm_sq - 1.0) < 1e-14
 
     def test_dephasing_must_be_finite_and_non_negative(self):
         for bad in (-1e-3, math.inf, math.nan):
@@ -63,16 +64,30 @@ class TestDickeState:
 
     def test_diagonals_and_normalization_carry_dephasing(self):
         rng = np.random.default_rng(3)
-        amps = rng.normal(size=7) + 1j * rng.normal(size=7)
+        amps = rng.normal(size=7)
         state = DickeState(SpinQuantum(6), amps, 0.7)
         rho = dense_rho(state)
         for k in range(7):
             np.testing.assert_allclose(state.diagonal(k), np.diagonal(rho, k), rtol=1e-13, atol=0)
-        assert state.normalized().dephasing == 0.7
+        assert normalized(state).dephasing == 0.7
 
     def test_normalize_zero_vector_rejected(self):
         with pytest.raises(DomainError):
-            DickeState(SpinQuantum(2), np.zeros(3)).normalized()
+            normalized(DickeState(SpinQuantum(2), np.zeros(3)))
+
+    def test_nonzero_imaginary_part_rejected(self):
+        amps = np.array([0.6, 0.0, 0.8], dtype=complex)
+        for bad in (1e-300j, -0.1j, complex(0.0, math.nan)):
+            amps[1] = bad
+            with pytest.raises(DomainError, match="real"):
+                DickeState(SpinQuantum(2), amps)
+
+    def test_zero_imaginary_parts_stored_as_float64(self):
+        amps = np.array([0.6 + 0.0j, 0.0 - 0.0j, -0.8 + 0.0j])
+        state = DickeState(SpinQuantum(2), amps)
+        assert state.amplitudes.dtype == np.float64
+        assert state.amplitudes.tolist() == [0.6, 0.0, -0.8]
+        assert DickeState(SpinQuantum(1), [1, 0]).amplitudes.dtype == np.float64
 
 
 class TestLogBinomialAmplitude:
@@ -110,9 +125,8 @@ class TestLogBinomialAmplitude:
 class TestInitialState:
     def test_two_atoms(self):
         state = initial_coherent_spin_state(2)
-        np.testing.assert_allclose(
-            state.amplitudes.real, [0.5, math.sqrt(2) / 2, 0.5], atol=1e-14
-        )
+        assert state.amplitudes.dtype == np.float64
+        np.testing.assert_allclose(state.amplitudes, [0.5, math.sqrt(2) / 2, 0.5], atol=1e-14)
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 5, 20, 101])
     def test_normalized(self, n_atoms):
@@ -133,7 +147,6 @@ class TestSpinMoments:
         state = initial_coherent_spin_state(20)
         mom = spin_moments(state)
         assert mom.mean_sx == pytest.approx(10.0, abs=1e-10)
-        assert mom.mean_sy == pytest.approx(0.0, abs=1e-12)
         assert mom.mean_sz == pytest.approx(0.0, abs=1e-12)
         assert mom.var_sz == pytest.approx(5.0, rel=1e-12)  # N_a / 4
         assert mom.var_sy == pytest.approx(5.0, rel=1e-12)
@@ -163,7 +176,7 @@ class TestSpinMoments:
     def test_mean_spin_bounded_by_s(self, n_atoms, seed):
         rng = np.random.default_rng(seed)
         spin = SpinQuantum(n_atoms)
-        amps = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
+        amps = rng.normal(size=spin.dim)
         amps /= np.linalg.norm(amps)
         mom = spin_moments(DickeState(spin, amps))
         assert mom.mean_spin_length <= spin.s + 1e-9
@@ -175,11 +188,13 @@ class TestSpinMoments:
         rng = np.random.default_rng(seed)
         spin = SpinQuantum(2 * half)
         raw = rng.uniform(0.1, 1.0, size=half + 1)
-        amps = np.concatenate([raw[:0:-1], raw]).astype(complex)
+        amps = np.concatenate([raw[:0:-1], raw])
         amps /= np.linalg.norm(amps)
-        mom = spin_moments(DickeState(spin, amps))
+        state = DickeState(spin, amps)
+        mom = spin_moments(state)
         assert abs(mom.mean_sz) <= 1e-12
-        assert abs(mom.mean_sy) <= 1e-12
+        sy = spin_matrices(spin)[1]
+        assert abs(np.trace(dense_rho(state) @ sy)) <= 1e-12
 
 
 class TestSqueezing:
@@ -194,7 +209,7 @@ class TestSqueezing:
 
     def test_zero_mean_spin_has_no_xi(self):
         spin = SpinQuantum(2)
-        amps = np.zeros(3, dtype=complex)
+        amps = np.zeros(3)
         amps[1] = 1.0  # the pure M = 0 state has no mean spin
         mom = spin_moments(DickeState(spin, amps))
         assert mom.xi is None and mom.var_perp is None
@@ -208,10 +223,10 @@ class TestBandedMoments:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_operator_products(self, dephasing, n_atoms, seed):
-        # a random complex amplitude vector, pure or dephased
+        # a random real amplitude vector, pure or dephased
         rng = np.random.default_rng(seed)
         spin = SpinQuantum(n_atoms)
-        amps = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
+        amps = rng.normal(size=spin.dim)
         state = DickeState(spin, amps / np.linalg.norm(amps), dephasing)
         rho = dense_rho(state)
         sx, sy, sz = spin_matrices(state.spin)
@@ -221,7 +236,7 @@ class TestBandedMoments:
             return float(np.real(np.trace(rho @ op)))
 
         assert mom.mean_sx == pytest.approx(expect(sx), rel=1e-10, abs=1e-12)
-        assert mom.mean_sy == pytest.approx(expect(sy), rel=1e-10, abs=1e-12)
+        assert expect(sy) == pytest.approx(0.0, abs=1e-12)  # real amplitudes: no <S_y>
         assert mom.mean_sz == pytest.approx(expect(sz), rel=1e-10, abs=1e-12)
         assert mom.var_sz == pytest.approx(expect(sz @ sz) - expect(sz) ** 2, rel=1e-10, abs=1e-12)
         assert mom.var_sy == pytest.approx(expect(sy @ sy) - expect(sy) ** 2, rel=1e-10, abs=1e-12)
