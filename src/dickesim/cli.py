@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable, Iterator
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -24,15 +25,10 @@ from . import __version__
 from .cat_analysis import cat_coherence, cat_peak_location
 from .detection import PulseSpec, collapse, run_trajectory
 from .errors import ConfigError, ConsistencyError, DickesimError, DomainError
-from .physical_params import (
-    PhysicalConfig,
-    derive_strengths,
-    measurement_strength_photon_form,
-    optimal_strength,
-    squeezing_with_decay,
-)
+from .physical_params import PhysicalConfig, derive_strengths, optimal_strength, squeezing_with_decay
 from .pulse_scattering import (
     MAX_TABLE_LENGTH,
+    PhotonDistribution,
     apply_pulse,
     distribution_peaks,
     photon_distribution,
@@ -71,18 +67,21 @@ def _write_json(path: Path, payload) -> None:
     _write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
 
 
-def _write_manifest(out_dir: Path, command: str, parameters: dict, seed: int | None, output_paths: list[Path]) -> Path:
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "output_paths": [str(p) for p in output_paths],
-        "tool_version": __version__,
-        "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-    }
-    path = out_dir / f"{command}_manifest.json"
-    _write_json(path, manifest)
-    return path
+def _finish(out_dir: Path, command: str, parameters: dict, seed: int | None, outputs: list[Path]) -> None:
+    """Write the run manifest listing the outputs, then name every file written."""
+    manifest = out_dir / f"{command}_manifest.json"
+    _write_json(
+        manifest,
+        {
+            "command": command,
+            "parameters": parameters,
+            "seed": seed,
+            "output_paths": [str(p) for p in outputs],
+            "tool_version": __version__,
+            "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        },
+    )
+    click.echo(f"wrote {', '.join(str(p) for p in [*outputs, manifest])}")
 
 
 def _csv_chunks(columns: list[np.ndarray], header: tuple[str, ...]) -> Iterator[str]:
@@ -110,12 +109,9 @@ def _emit_table(path_base: Path, columns: list[np.ndarray], header: tuple[str, .
     return path
 
 
-def _gnuplot_script(csv_path: Path, ylabel: str) -> str:
-    return (
-        "set datafile separator ','\n"
-        f"set ylabel '{ylabel}'\n"
-        f"plot '{csv_path.name}' using 1:2 skip 1 with linespoints notitle\n"
-    )
+def _emit_law(path_base: Path, dist: PhotonDistribution, fmt: str) -> Path:
+    """The (n, P_n) table of a photon-number law."""
+    return _emit_table(path_base, [np.arange(dist.n_max + 1), dist.probabilities], ("n", "P_n"), fmt)
 
 
 @click.group()
@@ -137,9 +133,7 @@ def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gn
     dist = photon_distribution(joint, n_max)
     peaks = distribution_peaks(dist.probabilities)
     out_dir = Path(out)
-    table = _emit_table(
-        out_dir / "statistics", [np.arange(dist.n_max + 1), dist.probabilities], ("n", "P_n"), fmt
-    )
+    table = _emit_law(out_dir / "statistics", dist, fmt)
     sidecar = out_dir / "statistics_peaks.json"
     _write_json(
         sidecar,
@@ -154,18 +148,14 @@ def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gn
     outputs = [table, sidecar]
     if gnuplot and fmt == "csv":
         gp = out_dir / "statistics.gp"
-        _write_atomic(gp, [_gnuplot_script(table, "P_n")])
-        outputs.append(gp)
-    outputs.append(
-        _write_manifest(
-            out_dir,
-            "statistics",
-            {"n_atoms": n_atoms, "C": c, "n_max": dist.n_max, "format": fmt},
-            None,
-            outputs,
+        script = (
+            "set datafile separator ','\n"
+            "set ylabel 'P_n'\n"
+            f"plot '{table.name}' using 1:2 skip 1 with linespoints notitle\n"
         )
-    )
-    click.echo(f"wrote {', '.join(str(p) for p in outputs)}")
+        _write_atomic(gp, [script])
+        outputs.append(gp)
+    _finish(out_dir, "statistics", {"n_atoms": n_atoms, "C": c, "n_max": dist.n_max, "format": fmt}, None, outputs)
 
 
 @main.command("collapse")
@@ -203,11 +193,7 @@ def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt:
     table = _emit_table(out_dir / "collapse", [m_values, collapsed.populations()], ("M", "P_a"), fmt)
     sidecar = out_dir / "collapse_summary.json"
     _write_json(sidecar, summary)
-    outputs = [table, sidecar]
-    outputs.append(
-        _write_manifest(out_dir, "collapse", {"n_atoms": n_atoms, "C": c, "n_m": n_m, "mu": mu, "format": fmt}, None, outputs)
-    )
-    click.echo(f"wrote {', '.join(str(p) for p in outputs)}")
+    _finish(out_dir, "collapse", {"n_atoms": n_atoms, "C": c, "n_m": n_m, "mu": mu, "format": fmt}, None, [table, sidecar])
 
 
 def _forced_count(value) -> int:
@@ -245,22 +231,11 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
     run = run_trajectory(state, specs, seed=seed, collect_distributions=emit_dists)
     out_dir = Path(out)
     jsonl_path = out_dir / "trajectory.jsonl"
-    _write_atomic(jsonl_path, [run.record.to_jsonl()])
+    _write_atomic(jsonl_path, [run.to_jsonl()])
     outputs = [jsonl_path]
-    if emit_dists and run.distributions is not None:
-        for idx, dist in enumerate(run.distributions):
-            columns = [np.arange(dist.n_max + 1), dist.probabilities]
-            outputs.append(_emit_table(out_dir / f"trajectory_dist_{idx}", columns, ("n", "P_n"), "csv"))
-    outputs.append(
-        _write_manifest(
-            out_dir,
-            "trajectory",
-            {"n_atoms": n_atoms, "pulses": raw, "emit_dists": emit_dists},
-            seed,
-            outputs,
-        )
-    )
-    click.echo(f"wrote {', '.join(str(p) for p in outputs)}")
+    for idx, dist in enumerate(run.distributions or ()):
+        outputs.append(_emit_law(out_dir / f"trajectory_dist_{idx}", dist, "csv"))
+    _finish(out_dir, "trajectory", {"n_atoms": n_atoms, "pulses": raw, "emit_dists": emit_dists}, seed, outputs)
 
 
 @main.command("squeeze-scan")
@@ -337,25 +312,8 @@ def squeeze_scan(
     table = _emit_table(out_dir / "squeeze_scan", series, tuple(columns), fmt)
     sidecar = out_dir / "squeeze_scan_summary.json"
     _write_json(sidecar, summary)
-    outputs = [table, sidecar]
-    outputs.append(
-        _write_manifest(
-            out_dir,
-            "squeeze-scan",
-            {
-                "n_atoms": n_atoms,
-                "d_res": d_res,
-                "mu": mu,
-                "c_min": c_min,
-                "c_max": c_max,
-                "c_step": c_step,
-                "format": fmt,
-            },
-            None,
-            outputs,
-        )
-    )
-    click.echo(f"wrote {', '.join(str(p) for p in outputs)}")
+    parameters = {"n_atoms": n_atoms, "d_res": d_res, "mu": mu, "c_min": c_min, "c_max": c_max, "c_step": c_step, "format": fmt}
+    _finish(out_dir, "squeeze-scan", parameters, None, [table, sidecar])
 
 
 @main.command()
@@ -363,33 +321,11 @@ def squeeze_scan(
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 def physical(config_path: str, out: str) -> None:
     """Map a laboratory config JSON to the dimensionless model parameters."""
-    config = PhysicalConfig.from_json(Path(config_path))
-    strengths = derive_strengths(config)
-    c_photon = measurement_strength_photon_form(config)
-    warnings_list = config.advisory_warnings()
-    if strengths.eta >= 1.0:
-        warnings_list.append(
-            f"photon loss per atom exceeds 1 (eta = {strengths.eta:.3g}); low-damage regime violated"
-        )
-    if strengths.C > strengths.C_bound:
-        warnings_list.append(
-            f"C = {strengths.C:.3g} exceeds the bound sqrt(d_res/N_a) = {strengths.C_bound:.3g}"
-        )
-    if c_photon > 0 and strengths.C > 0:
-        ratio = strengths.C / c_photon
-        if not 0.5 <= ratio <= 2.0:
-            warnings_list.append(
-                f"spontaneous-emission and photon-number forms of C disagree by factor {ratio:.3g}"
-            )
-    payload = dict(strengths.to_dict(), C_photon_form=c_photon, warnings=warnings_list)
+    strengths = derive_strengths(PhysicalConfig.from_json(Path(config_path)))
     out_dir = Path(out)
     result = out_dir / "physical.json"
-    _write_json(result, payload)
-    outputs = [result]
-    outputs.append(
-        _write_manifest(out_dir, "physical", {"config_path": str(config_path)}, None, outputs)
-    )
-    click.echo(f"wrote {', '.join(str(p) for p in outputs)}")
+    _write_json(result, asdict(strengths))
+    _finish(out_dir, "physical", {"config_path": str(config_path)}, None, [result])
 
 
 def run() -> None:

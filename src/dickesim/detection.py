@@ -32,7 +32,6 @@ LOG_PROB_FLOOR = math.log(1e-300)
 __all__ = [
     "PulseSpec",
     "PulseResult",
-    "TrajectoryRecord",
     "TrajectoryRun",
     "collapse",
     "sample_outcome",
@@ -46,6 +45,10 @@ def _kernel_diagonal(joint: JointState, n_m: int) -> tuple[np.ndarray, float, fl
     and t = sum rho_MM k_M^2, the trace of the unnormalised conditioned state."""
     if n_m < 0:
         raise DomainError(f"photon count must be >= 0, got {n_m}")
+    try:
+        log_factorial = math.lgamma(n_m + 1)
+    except OverflowError:  # n_m above ~2.6e305
+        raise DomainError("photon count too large: log(n_m!) exceeds the double range") from None
     cm = joint.c * joint.spin.m_values()
     log_k = -0.5 * joint.intensities()
     if n_m > 0:
@@ -61,7 +64,7 @@ def _kernel_diagonal(joint: JointState, n_m: int) -> tuple[np.ndarray, float, fl
     if n_m % 2:
         k *= np.sign(cm)
     t = float(np.sum(pop * k * k))
-    log_p = shift + math.log(t) - math.lgamma(n_m + 1)
+    log_p = shift + math.log(t) - log_factorial
     if n_m > 0:
         log_p += n_m * math.log(joint.mu) if joint.mu > 0 else -math.inf
     return k, t, log_p
@@ -130,38 +133,33 @@ class PulseResult:
 
 
 @dataclass(frozen=True)
-class TrajectoryRecord:
-    """Seeded sequence of pulse outcomes; replaying the seed reproduces it."""
+class TrajectoryRun:
+    """Seeded sequence of pulse outcomes, the final state and, when collected,
+    each pulse's detected-count law; replaying the seed reproduces it."""
 
     seed: int
     pulses: tuple[PulseResult, ...]
+    final_state: DickeState
+    distributions: tuple[PhotonDistribution, ...] | None = None
 
     def to_jsonl(self) -> str:
         """One JSON object per pulse; field order fixed:
         seed, pulse_index, C, mu, n_m, post_var_Sz, post_xi."""
-        lines = []
-        for p in self.pulses:
-            lines.append(
-                json.dumps(
-                    {
-                        "seed": self.seed,
-                        "pulse_index": p.pulse_index,
-                        "C": p.c,
-                        "mu": p.mu,
-                        "n_m": p.n_m,
-                        "post_var_Sz": p.post_var_sz,
-                        "post_xi": p.post_xi,
-                    }
-                )
+        return "".join(
+            json.dumps(
+                {
+                    "seed": self.seed,
+                    "pulse_index": p.pulse_index,
+                    "C": p.c,
+                    "mu": p.mu,
+                    "n_m": p.n_m,
+                    "post_var_Sz": p.post_var_sz,
+                    "post_xi": p.post_xi,
+                }
             )
-        return "".join(line + "\n" for line in lines)
-
-
-@dataclass(frozen=True)
-class TrajectoryRun:
-    record: TrajectoryRecord
-    final_state: DickeState
-    distributions: tuple[PhotonDistribution, ...] | None = None
+            + "\n"
+            for p in self.pulses
+        )
 
 
 def run_trajectory(
@@ -206,7 +204,8 @@ def run_trajectory(
         )
 
     return TrajectoryRun(
-        record=TrajectoryRecord(seed=seed, pulses=tuple(results)),
+        seed=seed,
+        pulses=tuple(results),
         final_state=state,
         distributions=tuple(dists) if collect_distributions else None,
     )

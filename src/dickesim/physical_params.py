@@ -2,7 +2,8 @@
 
 The entanglement results are fully dimensionless in (C, mu, N_a, d_res);
 this module owns the SI-unit bookkeeping that produces those numbers, the
-photon-loss bound, and the decay-corrected squeezing optimum.
+photon-loss bound, every note on a config's regime, and the
+decay-corrected squeezing optimum.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
@@ -31,19 +32,6 @@ __all__ = [
     "squeezing_with_decay",
     "optimal_strength",
 ]
-
-_CONFIG_FIELDS = (
-    "gamma",
-    "delta",
-    "wavelength",
-    "area",
-    "length",
-    "density",
-    "N_a",
-    "chi_sq_integral",
-    "N_ph",
-)
-
 
 @dataclass(frozen=True)
 class PhysicalConfig:
@@ -66,6 +54,8 @@ class PhysicalConfig:
     def __post_init__(self):
         for name in _CONFIG_FIELDS:
             value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
             if name in ("chi_sq_integral", "N_ph"):
                 if value < 0:
                     raise ConfigError(f"{name} must be >= 0, got {value}")
@@ -96,7 +86,7 @@ class PhysicalConfig:
             raise ConfigError(f"N_a must be an integer, got {n_a}")
         try:
             return cls(**{k: (int(data[k]) if k == "N_a" else float(data[k])) for k in _CONFIG_FIELDS})
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config value: {exc}") from exc
 
     def advisory_warnings(self) -> list[str]:
@@ -117,16 +107,21 @@ class PhysicalConfig:
         return notes
 
 
+_CONFIG_FIELDS = tuple(f.name for f in fields(PhysicalConfig))
+
+
 @dataclass(frozen=True)
 class DerivedStrengths:
+    """The dimensionless model of a config and every regime note on it;
+    asdict() of it is the physical command's output, in field order."""
+
     C: float
     C_spon: float
     d_res: float
     eta: float
     C_bound: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    C_photon_form: float
+    warnings: tuple[str, ...]
 
 
 def c_spon(config: PhysicalConfig) -> float:
@@ -144,7 +139,7 @@ def measurement_strength(config: PhysicalConfig) -> float:
 
 def measurement_strength_photon_form(config: PhysicalConfig) -> float:
     """Cross-check form C ~ (gamma/delta) (d_res/N_a) sqrt(N_ph)."""
-    d_res = config.density * config.wavelength**2 * config.length
+    d_res = optical_depths(config)[0]
     return (config.gamma / abs(config.delta)) * (d_res / config.N_a) * math.sqrt(config.N_ph)
 
 
@@ -157,14 +152,20 @@ def optical_depths(config: PhysicalConfig) -> tuple[float, float, float]:
 
 
 def derive_strengths(config: PhysicalConfig) -> DerivedStrengths:
+    """The model parameters, with the config's advisory notes followed by the
+    regime notes: photon loss eta >= 1, C above C_bound, and the two forms
+    of C disagreeing by more than a factor 2."""
     d_res, eta, c_bound = optical_depths(config)
-    return DerivedStrengths(
-        C=measurement_strength(config),
-        C_spon=c_spon(config),
-        d_res=d_res,
-        eta=eta,
-        C_bound=c_bound,
-    )
+    c = measurement_strength(config)
+    c_photon = measurement_strength_photon_form(config)
+    notes = config.advisory_warnings()
+    if eta >= 1.0:
+        notes.append(f"photon loss per atom exceeds 1 (eta = {eta:.3g}); low-damage regime violated")
+    if c > c_bound:
+        notes.append(f"C = {c:.3g} exceeds the bound sqrt(d_res/N_a) = {c_bound:.3g}")
+    if c_photon > 0 and c > 0 and not 0.5 <= c / c_photon <= 2.0:
+        notes.append(f"spontaneous-emission and photon-number forms of C disagree by factor {c / c_photon:.3g}")
+    return DerivedStrengths(c, c_spon(config), d_res, eta, c_bound, c_photon, tuple(notes))
 
 
 def squeezing_with_decay(c: float, n_atoms: int, d_res: float) -> float:
@@ -174,8 +175,8 @@ def squeezing_with_decay(c: float, n_atoms: int, d_res: float) -> float:
     """
     if c <= 0:
         raise DomainError(f"pulse strength must be > 0, got {c}")
-    if n_atoms < 1 or d_res <= 0:
-        raise DomainError("need n_atoms >= 1 and d_res > 0")
+    if n_atoms < 1 or not 0 < d_res < math.inf:
+        raise DomainError(f"need n_atoms >= 1 and 0 < d_res < inf, got d_res = {d_res}")
     s = n_atoms / 2.0
     if c < 1.0 / math.sqrt(s):
         warnings.warn(
@@ -191,6 +192,6 @@ def squeezing_with_decay(c: float, n_atoms: int, d_res: float) -> float:
 
 def optimal_strength(n_atoms: int, d_res: float) -> tuple[float, float]:
     """Closed-form optimum: C_opt = sqrt(d_res/(2 N_a)), xi_min = 2 sqrt(e)/sqrt(d_res)."""
-    if d_res <= 0 or n_atoms < 1:
-        raise DomainError("need d_res > 0 and n_atoms >= 1")
+    if n_atoms < 1 or not 0 < d_res < math.inf:
+        raise DomainError(f"need n_atoms >= 1 and 0 < d_res < inf, got d_res = {d_res}")
     return math.sqrt(d_res / (2.0 * n_atoms)), 2.0 * math.sqrt(math.e) / math.sqrt(d_res)

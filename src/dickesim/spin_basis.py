@@ -6,9 +6,10 @@ a_M and a dephasing Gamma: rho_MN = a_M a_N exp[-Gamma (M - N)^2 / 2].  The
 amplitudes are real because the binomial start is real and every pulse and
 every count is diagonal in S_z with a real conditioning kernel
 k_M = (C M)^n exp(-mu C^2 M^2 / 2); so <S_y> = 0 for every reachable state.
-All spin quantum numbers are carried internally as doubled integers
-(S_twice, M_twice) so half-integer values never touch floating point; the
-public API accepts the atom count N_a.
+The public API accepts the atom count N_a; the spin is carried as the
+integer S_twice = N_a = 2S, and M = -S + k is the index k of an amplitude.
+`m_values()` returns those M as float64, which holds every half-integer
+of this range exactly.
 
 The spin components couple M only to M and M +- 1, so every first and
 second spin moment needs only the diagonals `diagonal(k)`, k = 0, 1, 2.

@@ -159,6 +159,13 @@ class TestCollapse:
         assert_one_line_error(result, 2, "(C S)^2 finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_m", [10**306, 10**309, 10**400], ids=["lgamma-overflows", "above-float-max", "far-above"])
+    def test_count_beyond_the_double_range_exits_2(self, tmp_path, n_m):
+        out = tmp_path / "o1"
+        result = run_cli(["collapse", "-N", "20", "-C", "1", "-n", str(n_m), "--out", str(out)])
+        assert_one_line_error(result, 2, "photon count too large")
+        assert not out.exists()
+
 
 class TestTrajectory:
     def test_seeded_rerun_is_byte_identical(self, tmp_path):
@@ -224,6 +231,13 @@ class TestTrajectory:
         pulses = '[{"C": 1}, {"C": 1e10}]'
         result = run_cli(["trajectory", "-N", "20", "--pulses", pulses, "--seed", "2", "--out", str(out)])
         assert_one_line_error(result, 2, "pulse 1: cannot sample a count")
+        assert not out.exists()
+
+    def test_forced_count_beyond_the_double_range_exits_2(self, tmp_path):
+        out = tmp_path / "o1"
+        pulses = f'[{{"C": 1, "force_n": {10**400}}}]'
+        result = run_cli(["trajectory", "-N", "20", "--pulses", pulses, "--seed", "1", "--out", str(out)])
+        assert_one_line_error(result, 2, "pulse 0: photon count too large")
         assert not out.exists()
 
     @pytest.mark.parametrize("force_n,code", [("1.5", 1), ("1.0", 0)])
@@ -350,6 +364,16 @@ class TestSqueezeScan:
         assert_one_line_error(result, 2, "exceeds the limit")
         assert not out.exists()
 
+    @pytest.mark.parametrize("d_res", ["inf", "nan"])
+    def test_non_finite_resonant_depth_exits_2(self, tmp_path, d_res):
+        # an infinite depth used to write "closed_form_C_opt": Infinity, which is not JSON
+        out = tmp_path / "scan"
+        result = run_cli(
+            ["squeeze-scan", "-N", "20", "--d-res", d_res, "--c-min", "0.1", "--c-max", "1", "--c-step", "0.1", "--out", str(out)]
+        )
+        assert_one_line_error(result, 2, "0 < d_res < inf")
+        assert not out.exists()
+
     def test_no_model_exits_1(self, tmp_path):
         result = run_cli(
             ["squeeze-scan", "-N", "20", "--c-min", "1", "--c-max", "2", "--c-step", "0.5", "--out", str(tmp_path)]
@@ -443,9 +467,45 @@ class TestPhysical:
         assert_one_line_error(result, 1, "config error")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("gamma", math.inf), ("density", math.inf), ("chi_sq_integral", math.inf), ("N_ph", math.inf), ("gamma", math.nan)],
+    )
+    def test_non_finite_config_value_exits_1(self, tmp_path, name, value):
+        # json.dumps writes Infinity and NaN, which json.loads reads back
+        path = self.write_config(tmp_path)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **{name: value})))
+        out = tmp_path / "o1"
+        result = run_cli(["physical", str(path), "--out", str(out)])
+        assert_one_line_error(result, 1, f"{name} must be finite")
+        assert not out.exists()
+
     def test_missing_file_exits_1(self, tmp_path):
         result = run_cli(["physical", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert result.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["statistics", "-N", "6", "-C", "1", "--gnuplot"],
+        ["collapse", "-N", "6", "-C", "1", "-n", "2", "--format", "json"],
+        ["trajectory", "-N", "6", "--pulses", '[{"C": 1}, {"C": 0.5, "mu": 0.7}]', "--seed", "3", "--emit-dists"],
+        ["squeeze-scan", "-N", "6", "--d-res", "50", "--mu", "0.9", "--c-min", "0.5", "--c-max", "1", "--c-step", "0.5"],
+        ["physical", "config.json"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_manifest_and_stdout_name_exactly_the_files_written(tmp_path, args):
+    TestPhysical.write_config(tmp_path)
+    out = tmp_path / "out"
+    result = run_cli([*args, "--out", str(out)], cwd=tmp_path)
+    assert result.returncode == 0
+    manifest = out / f"{args[0]}_manifest.json"
+    written = {str(p) for p in out.rglob("*")}
+    listed = json.loads(manifest.read_text())["output_paths"]
+    assert len(set(listed)) == len(listed) and set(listed) | {str(manifest)} == written
+    assert result.stdout == "wrote " + ", ".join([*listed, str(manifest)]) + "\n"
 
 
 # floats on both sides of repr's switch to exponent notation (1e-4, 1e16),

@@ -67,6 +67,21 @@ class TestOutcomeProbability:
         with pytest.raises(DomainError):
             log_outcome_probability(joint, -1)
 
+    @pytest.mark.parametrize("n_m", [10**306, 10**309, 10**400], ids=["lgamma-overflows", "above-float-max", "far-above"])
+    def test_count_beyond_the_double_range_rejected(self, n_m):
+        joint = apply_pulse(initial_coherent_spin_state(20), 1.0)
+        with pytest.raises(DomainError, match="photon count too large"):
+            log_outcome_probability(joint, n_m)
+        with pytest.raises(DomainError, match="photon count too large"):
+            collapse(joint, n_m)
+
+    def test_count_inside_the_double_range_is_only_improbable(self):
+        # log(10^305 !) ~ 7.0e307 is finite, so this count has a log-probability
+        joint = apply_pulse(initial_coherent_spin_state(20), 1.0)
+        assert log_outcome_probability(joint, 10**305) < -1e307
+        with pytest.raises(ConditioningError):
+            collapse(joint, 10**305)
+
 
 class TestCollapsePerfect:
     def test_null_outcome_gaussian_reweighting(self):
@@ -217,22 +232,22 @@ class TestTrajectory:
             [PulseSpec(c=3.0, force_n=30), PulseSpec(c=3.0, force_n=36)],
             seed=1,
         )
-        assert [p.n_m for p in run.record.pulses] == [30, 36]
-        assert run.record.pulses[0].post_var_sz == pytest.approx(4.0, abs=1e-3)
+        assert [p.n_m for p in run.pulses] == [30, 36]
+        assert run.pulses[0].post_var_sz == pytest.approx(4.0, abs=1e-3)
 
     def test_jsonl_field_order_and_replay(self):
         pulses = [PulseSpec(c=2.0), PulseSpec(c=1.0)]
         state = initial_coherent_spin_state(12)
-        text1 = run_trajectory(state, pulses, seed=42).record.to_jsonl()
-        text2 = run_trajectory(state, pulses, seed=42).record.to_jsonl()
+        text1 = run_trajectory(state, pulses, seed=42).to_jsonl()
+        text2 = run_trajectory(state, pulses, seed=42).to_jsonl()
         assert text1 == text2
         first = json.loads(text1.splitlines()[0])
         assert list(first) == ["seed", "pulse_index", "C", "mu", "n_m", "post_var_Sz", "post_xi"]
 
     def test_empty_pulse_list(self):
         run = run_trajectory(initial_coherent_spin_state(4), [], seed=0)
-        assert run.record.pulses == ()
-        assert run.record.to_jsonl() == ""
+        assert run.pulses == ()
+        assert run.to_jsonl() == ""
 
     def test_inefficient_pulse_switches_to_density_matrix(self):
         run = run_trajectory(
@@ -242,7 +257,7 @@ class TestTrajectory:
         )
         assert run.final_state.dephasing == pytest.approx(0.2, rel=1e-12)
         assert run.final_state.norm_sq == pytest.approx(1.0, abs=1e-9)
-        assert run.record.pulses[1].post_var_sz < run.record.pulses[0].post_var_sz
+        assert run.pulses[1].post_var_sz < run.pulses[0].post_var_sz
 
     def test_mixed_path_agrees_with_pure_path_at_near_full_efficiency(self):
         # an almost-perfect first detection must leave the second pulse's
@@ -259,8 +274,8 @@ class TestTrajectory:
             seed=0,
         )
         assert mixed.final_state.dephasing > 0.0
-        assert mixed.record.pulses[1].post_var_sz == pytest.approx(
-            pure.record.pulses[1].post_var_sz, rel=1e-6
+        assert mixed.pulses[1].post_var_sz == pytest.approx(
+            pure.pulses[1].post_var_sz, rel=1e-6
         )
 
     def test_forced_impossible_outcome_rejected(self):
@@ -277,8 +292,9 @@ class TestTrajectory:
             ([PulseSpec(c=1.0), PulseSpec(c=0.0, force_n=3)], ConditioningError, "pulse 1: outcome n_m=3"),
             ([PulseSpec(c=1.0), PulseSpec(c=1e200)], DomainError, "pulse 1: pulse strength"),
             ([PulseSpec(c=1.0), PulseSpec(c=1e10)], DomainError, "pulse 1: cannot sample a count"),
+            ([PulseSpec(c=1.0), PulseSpec(c=1.0, force_n=10**400)], DomainError, "pulse 1: photon count too large"),
         ],
-        ids=["conditioning", "apply-pulse", "sample-outcome"],
+        ids=["conditioning", "apply-pulse", "sample-outcome", "count-too-large"],
     )
     def test_failing_pulse_is_named(self, pulses, error, message):
         with pytest.raises(error, match=f"^{message}"):
@@ -309,7 +325,7 @@ class TestTrajectory:
         state = initial_coherent_spin_state(20)
         counts = np.array(
             [
-                run_trajectory(state, [PulseSpec(c=1.0, mu=0.5)], seed=seed).record.pulses[0].n_m
+                run_trajectory(state, [PulseSpec(c=1.0, mu=0.5)], seed=seed).pulses[0].n_m
                 for seed in range(2000)
             ]
         )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from dataclasses import asdict
@@ -47,6 +48,21 @@ class TestPhysicalConfig:
         config = PhysicalConfig.from_json(json.dumps(dict(asdict(lab_config), N_a=float(lab_config.N_a))))
         assert config == lab_config
         assert type(config.N_a) is int
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("gamma", math.inf), ("gamma", math.nan), ("delta", -math.inf), ("density", math.inf), ("chi_sq_integral", math.inf), ("N_ph", math.inf)],
+    )
+    def test_non_finite_value_rejected(self, lab_config, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            PhysicalConfig(**dict(asdict(lab_config), **{name: value}))
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            PhysicalConfig.from_json(json.dumps(dict(asdict(lab_config), **{name: value})))
+
+    def test_value_beyond_the_float_range_rejected(self, lab_config):
+        text = json.dumps(asdict(lab_config)).replace(repr(lab_config.gamma), "1" + "0" * 400)
+        with pytest.raises(ConfigError, match="too large to convert to float"):
+            PhysicalConfig.from_json(text)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -107,6 +123,22 @@ class TestDerivedStrengths:
             rel=1e-12,
         )
 
+    def test_consistent_config_has_no_notes(self, lab_config):
+        s = derive_strengths(lab_config)
+        assert s.warnings == ()
+        assert s.C_photon_form == measurement_strength_photon_form(lab_config)
+        assert list(asdict(s)) == ["C", "C_spon", "d_res", "eta", "C_bound", "C_photon_form", "warnings"]
+
+    def test_notes_follow_the_config_notes_in_order(self):
+        # near resonance, a wide beam, a mismatched density and a strong pulse
+        # trip all three config notes and all three regime notes
+        config = dataclasses.replace(
+            consistent_config(delta=2 * math.pi * 10e6, area=1e-3), chi_sq_integral=1e25, density=1e17
+        )
+        notes = derive_strengths(config).warnings
+        assert list(notes[:3]) == config.advisory_warnings()
+        assert [n.split()[0] for n in notes[3:]] == ["photon", "C", "spontaneous-emission"]
+
     def test_pinned_constant_identity(self, lab_config):
         s = derive_strengths(lab_config)
         assert s.C**2 * lab_config.N_a / s.d_res == pytest.approx(
@@ -139,6 +171,13 @@ class TestSqueezingWithDecay:
             squeezing_with_decay(0.0, 200, 100.0)
         with pytest.raises(DomainError):
             squeezing_with_decay(1.0, 200, -5.0)
+
+    @pytest.mark.parametrize("d_res", [math.inf, math.nan])
+    def test_non_finite_depth_rejected(self, d_res):
+        with pytest.raises(DomainError, match="0 < d_res < inf"):
+            squeezing_with_decay(1.0, 200, d_res)
+        with pytest.raises(DomainError, match="0 < d_res < inf"):
+            optimal_strength(200, d_res)
 
 
 class TestOptimalStrength:
