@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from pathlib import Path
@@ -196,17 +197,20 @@ def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt:
     _finish(out_dir, "collapse", {"n_atoms": n_atoms, "C": c, "n_m": n_m, "mu": mu, "format": fmt}, None, [table, sidecar])
 
 
-def _forced_count(value) -> int:
-    """int(value), refusing a float with a fractional part that int() would drop."""
-    if isinstance(value, float) and not value.is_integer():
+def _number(value, key: str) -> int | float:
+    """A --pulses value that is a JSON number, refusing a bool, a string and a
+    force_n float with a fractional part that int() would drop."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    if key == "force_n" and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"force_n must be an integer, got {value}")
-    return int(value)
+    return value
 
 
 @main.command()
 @click.option("--n-atoms", "-N", "n_atoms", type=int, required=True)
 @click.option("--pulses", "pulses_json", type=str, required=True, help='JSON array of {"C":..,"mu":..,"force_n":..}.')
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--emit-dists", is_flag=True, help="Write per-pulse photon-distribution CSVs.")
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: bool, out: str) -> None:
@@ -217,13 +221,13 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
             raise ValueError("pulses must be a JSON array")
         specs = [
             PulseSpec(
-                c=float(item["C"]),
-                mu=float(item.get("mu", 1.0)),
-                force_n=_forced_count(item["force_n"]) if "force_n" in item else None,
+                c=float(_number(item["C"], "C")),
+                mu=float(_number(item.get("mu", 1.0), "mu")),
+                force_n=int(_number(item["force_n"], "force_n")) if "force_n" in item else None,
             )
             for item in raw
         ]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise click.UsageError(f"bad --pulses value: {exc}") from exc
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")
@@ -236,6 +240,25 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
     for idx, dist in enumerate(run.distributions or ()):
         outputs.append(_emit_law(out_dir / f"trajectory_dist_{idx}", dist, "csv"))
     _finish(out_dir, "trajectory", {"n_atoms": n_atoms, "pulses": raw, "emit_dists": emit_dists}, seed, outputs)
+
+
+def _scan_models(grid: np.ndarray, n_atoms: int, d_res: float | None, mu: float | None) -> Iterator[tuple]:
+    """Each selected model, decay first: its summary key, its parameter, its xi column (nan where
+    undefined, inf where it overflows), the message if no xi is finite, and its closed-form
+    extras.  Lazily, so that a model whose column fails stops the scan before the next runs."""
+    if d_res is not None:
+        with warnings.catch_warnings():
+            # one regime note per grid point below 1/sqrt(S)
+            warnings.simplefilter("ignore", UserWarning)
+            xi = np.array([squeezing_with_decay(c, n_atoms, d_res) for c in grid])
+        c_opt, xi_min = optimal_strength(n_atoms, d_res)
+        extras = {"closed_form_C_opt": c_opt, "closed_form_xi_min": xi_min}
+        yield "decay", {"d_res": d_res}, xi, "decay-model xi overflows at every strength: e^(C^2 N_a / d_res) is too large", extras
+    if mu is not None:
+        state = initial_coherent_spin_state(n_atoms)
+        xis = [spin_moments(collapse(apply_pulse(state, c, mu), 0)).xi for c in grid]
+        xi = np.array([math.nan if x is None else x for x in xis])
+        yield "inefficiency", {"mu": mu}, xi, "xi is undefined at every strength: no mean spin survives", {}
 
 
 @main.command("squeeze-scan")
@@ -270,44 +293,15 @@ def squeeze_scan(
     if grid.size == 0:
         raise click.UsageError("empty strength grid")
 
-    columns: list[str] = ["C"]
-    series: list[np.ndarray] = [grid]
-    summary: dict = {"n_atoms": n_atoms}
-    if d_res is not None:
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            # one regime note per grid point below 1/sqrt(S)
-            _warnings.simplefilter("ignore", UserWarning)
-            xi_decay = np.array([squeezing_with_decay(c, n_atoms, d_res) for c in grid])
-        finite = np.isfinite(xi_decay)
+    columns, series, summary = ["C"], [grid], {"n_atoms": n_atoms}
+    for name, parameter, xi, undefined, extras in _scan_models(grid, n_atoms, d_res, mu):
+        finite = np.isfinite(xi)
         if not finite.any():
-            raise DomainError("decay-model xi overflows at every strength: e^(C^2 N_a / d_res) is too large")
-        columns.append("xi_decay" if mu is not None else "xi")
-        series.append(xi_decay)
-        k = int(np.argmin(np.where(finite, xi_decay, np.inf)))
-        c_opt, xi_min = optimal_strength(n_atoms, d_res)
-        summary["decay"] = {
-            "d_res": d_res,
-            "argmin_C": float(grid[k]),
-            "min_xi": float(xi_decay[k]),
-            "closed_form_C_opt": c_opt,
-            "closed_form_xi_min": xi_min,
-        }
-    if mu is not None:
-        state = initial_coherent_spin_state(n_atoms)
-        xis = [spin_moments(collapse(apply_pulse(state, c, mu), 0)).xi for c in grid]
-        xi_mu = np.array([math.nan if xi is None else xi for xi in xis])
-        if all(xi is None for xi in xis):
-            raise DomainError("xi is undefined at every strength: no mean spin survives")
-        columns.append("xi_inefficiency" if d_res is not None else "xi")
-        series.append(xi_mu)
-        k = int(np.nanargmin(xi_mu))
-        summary["inefficiency"] = {
-            "mu": mu,
-            "argmin_C": float(grid[k]),
-            "min_xi": float(xi_mu[k]),
-        }
+            raise DomainError(undefined)
+        k = int(np.argmin(np.where(finite, xi, np.inf)))
+        columns.append(f"xi_{name}" if d_res is not None and mu is not None else "xi")
+        series.append(xi)
+        summary[name] = {**parameter, "argmin_C": float(grid[k]), "min_xi": float(xi[k]), **extras}
     out_dir = Path(out)
     table = _emit_table(out_dir / "squeeze_scan", series, tuple(columns), fmt)
     sidecar = out_dir / "squeeze_scan_summary.json"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -24,21 +25,20 @@ __all__ = [
     "PhysicalConfig",
     "DerivedStrengths",
     "SPON_COUPLING_CONSTANT",
-    "c_spon",
-    "measurement_strength",
-    "measurement_strength_photon_form",
-    "optical_depths",
     "derive_strengths",
     "squeezing_with_decay",
     "optimal_strength",
 ]
+
 
 @dataclass(frozen=True)
 class PhysicalConfig:
     """Experimental parameters, SI units throughout.
 
     chi_sq_integral is the time integral of the squared Rabi frequency over
-    the pulse, in 1/s.
+    the pulse, in 1/s.  Every value must be a real number (not a bool or a
+    string) within the float range; N_a must be integral and is stored as
+    an int, every other field as a float.
     """
 
     gamma: float
@@ -54,16 +54,28 @@ class PhysicalConfig:
     def __post_init__(self):
         for name in _CONFIG_FIELDS:
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"bad config value: {name} must be a number, got {value!r}")
+        if not isinstance(self.N_a, numbers.Integral) and not float(self.N_a).is_integer():
+            raise ConfigError(f"N_a must be an integer, got {self.N_a}")
+        for name in _CONFIG_FIELDS:
+            value = getattr(self, name)
+            try:
+                as_float = float(value)
+            except OverflowError as exc:
+                raise ConfigError(f"bad config value: {exc}") from exc
+            value = int(value) if name == "N_a" else as_float
+            object.__setattr__(self, name, value)
             if not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+                raise ConfigError(f"bad config value: {name} must be finite, got {value}")
             if name in ("chi_sq_integral", "N_ph"):
                 if value < 0:
-                    raise ConfigError(f"{name} must be >= 0, got {value}")
+                    raise ConfigError(f"bad config value: {name} must be >= 0, got {value}")
             elif name == "delta":
                 if value == 0:
-                    raise ConfigError("delta must be nonzero")
+                    raise ConfigError("bad config value: delta must be nonzero")
             elif value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+                raise ConfigError(f"bad config value: {name} must be positive, got {value}")
 
     @classmethod
     def from_json(cls, source: str | Path) -> "PhysicalConfig":
@@ -81,30 +93,7 @@ class PhysicalConfig:
         missing = set(_CONFIG_FIELDS) - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        n_a = data["N_a"]
-        if isinstance(n_a, float) and not n_a.is_integer():
-            raise ConfigError(f"N_a must be an integer, got {n_a}")
-        try:
-            return cls(**{k: (int(data[k]) if k == "N_a" else float(data[k])) for k in _CONFIG_FIELDS})
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from exc
-
-    def advisory_warnings(self) -> list[str]:
-        """Soft sanity checks; violations warn but never fail."""
-        notes = []
-        if abs(self.delta) / self.gamma < 10:
-            notes.append(
-                f"|delta|/gamma = {abs(self.delta) / self.gamma:.3g} < 10; far-off-resonance assumption is strained"
-            )
-        fresnel = self.area / (self.wavelength * self.length)
-        if not 0.1 <= fresnel <= 10:
-            notes.append(f"Fresnel number {fresnel:.3g} outside [0.1, 10]")
-        implied = self.density * self.area * self.length
-        if abs(implied - self.N_a) > 0.01 * self.N_a:
-            notes.append(
-                f"N_a = {self.N_a} inconsistent with density*area*length = {implied:.4g} (>1%)"
-            )
-        return notes
+        return cls(**data)
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(PhysicalConfig))
@@ -124,48 +113,38 @@ class DerivedStrengths:
     warnings: tuple[str, ...]
 
 
-def c_spon(config: PhysicalConfig) -> float:
-    """sqrt(gamma * integral(|chi|^2 dt) / delta^2): single-atom emission amplitude."""
-    return math.sqrt(config.gamma * config.chi_sq_integral) / abs(config.delta)
+def derive_strengths(config: PhysicalConfig) -> DerivedStrengths:
+    """The model parameters of a config, each computed once, and every note on its regime.
 
-
-def measurement_strength(config: PhysicalConfig) -> float:
-    """C = [3/(16 pi^2) (lambda^2/A) C_spon^2]^(1/2)."""
-    cs = c_spon(config)
-    return math.sqrt(
-        SPON_COUPLING_CONSTANT * (config.wavelength**2 / config.area) * cs * cs
-    )
-
-
-def measurement_strength_photon_form(config: PhysicalConfig) -> float:
-    """Cross-check form C ~ (gamma/delta) (d_res/N_a) sqrt(N_ph)."""
-    d_res = optical_depths(config)[0]
-    return (config.gamma / abs(config.delta)) * (d_res / config.N_a) * math.sqrt(config.N_ph)
-
-
-def optical_depths(config: PhysicalConfig) -> tuple[float, float, float]:
-    """(d_res, eta, C_bound): resonant depth, photon loss per atom, strength bound."""
+    C_spon = sqrt(gamma integral(|chi|^2 dt)) / |delta| is the single-atom emission amplitude,
+    C = [3/(16 pi^2) (lambda^2/A) C_spon^2]^(1/2), and C ~ (gamma/delta) (d_res/N_a) sqrt(N_ph)
+    is its photon-number cross-check.  The notes warn and never fail; in order: |delta|/gamma
+    < 10, a Fresnel number outside [0.1, 10], N_a off density*area*length, photon loss eta >= 1,
+    C above C_bound = sqrt(d_res/N_a), and the two forms of C differing by more than a factor 2.
+    """
+    c_spon = math.sqrt(config.gamma * config.chi_sq_integral) / abs(config.delta)
+    c = math.sqrt(SPON_COUPLING_CONSTANT * (config.wavelength**2 / config.area) * c_spon * c_spon)
     d_res = config.density * config.wavelength**2 * config.length
     eta = (d_res / config.N_a) * (config.gamma / config.delta) ** 2 * config.N_ph
     c_bound = math.sqrt(d_res / config.N_a)
-    return d_res, eta, c_bound
-
-
-def derive_strengths(config: PhysicalConfig) -> DerivedStrengths:
-    """The model parameters, with the config's advisory notes followed by the
-    regime notes: photon loss eta >= 1, C above C_bound, and the two forms
-    of C disagreeing by more than a factor 2."""
-    d_res, eta, c_bound = optical_depths(config)
-    c = measurement_strength(config)
-    c_photon = measurement_strength_photon_form(config)
-    notes = config.advisory_warnings()
+    c_photon = (config.gamma / abs(config.delta)) * (d_res / config.N_a) * math.sqrt(config.N_ph)
+    notes = []
+    detuning_ratio = abs(config.delta) / config.gamma
+    if detuning_ratio < 10:
+        notes.append(f"|delta|/gamma = {detuning_ratio:.3g} < 10; far-off-resonance assumption is strained")
+    fresnel = config.area / (config.wavelength * config.length)
+    if not 0.1 <= fresnel <= 10:
+        notes.append(f"Fresnel number {fresnel:.3g} outside [0.1, 10]")
+    implied = config.density * config.area * config.length
+    if abs(implied - config.N_a) > 0.01 * config.N_a:
+        notes.append(f"N_a = {config.N_a} inconsistent with density*area*length = {implied:.4g} (>1%)")
     if eta >= 1.0:
         notes.append(f"photon loss per atom exceeds 1 (eta = {eta:.3g}); low-damage regime violated")
     if c > c_bound:
         notes.append(f"C = {c:.3g} exceeds the bound sqrt(d_res/N_a) = {c_bound:.3g}")
     if c_photon > 0 and c > 0 and not 0.5 <= c / c_photon <= 2.0:
         notes.append(f"spontaneous-emission and photon-number forms of C disagree by factor {c / c_photon:.3g}")
-    return DerivedStrengths(c, c_spon(config), d_res, eta, c_bound, c_photon, tuple(notes))
+    return DerivedStrengths(c, c_spon, d_res, eta, c_bound, c_photon, tuple(notes))
 
 
 def squeezing_with_decay(c: float, n_atoms: int, d_res: float) -> float:

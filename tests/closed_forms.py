@@ -2,7 +2,8 @@
 
 No command, kernel or benchmark calls them: they are test oracles for the
 photon-number moments of the initial state, the null-measurement width,
-and the normalisation of a hand-built state.
+the normalisation of a hand-built state, and the map from a laboratory
+config to the dimensionless model, written as one formula per quantity.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 import numpy as np
 
 from dickesim.errors import DomainError, ShapeError, TruncationError
+from dickesim.physical_params import SPON_COUPLING_CONSTANT, DerivedStrengths, PhysicalConfig
 from dickesim.pulse_scattering import PhotonDistribution
 from dickesim.spin_basis import DickeState
 
@@ -82,3 +84,66 @@ def null_width(state: DickeState) -> float:
     frac = (log_hi + 1.0) / (log_hi - log_lo)
     m_sq = (j - 1) ** 2 + frac * (j * j - (j - 1) ** 2)
     return float(math.sqrt(m_sq))
+
+
+def c_spon(config: PhysicalConfig) -> float:
+    """sqrt(gamma * integral(|chi|^2 dt) / delta^2): single-atom emission amplitude."""
+    return math.sqrt(config.gamma * config.chi_sq_integral) / abs(config.delta)
+
+
+def measurement_strength(config: PhysicalConfig) -> float:
+    """C = [3/(16 pi^2) (lambda^2/A) C_spon^2]^(1/2)."""
+    cs = c_spon(config)
+    return math.sqrt(SPON_COUPLING_CONSTANT * (config.wavelength**2 / config.area) * cs * cs)
+
+
+def measurement_strength_photon_form(config: PhysicalConfig) -> float:
+    """Cross-check form C ~ (gamma/delta) (d_res/N_a) sqrt(N_ph)."""
+    d_res = optical_depths(config)[0]
+    return (config.gamma / abs(config.delta)) * (d_res / config.N_a) * math.sqrt(config.N_ph)
+
+
+def optical_depths(config: PhysicalConfig) -> tuple[float, float, float]:
+    """(d_res, eta, C_bound): resonant depth, photon loss per atom, strength bound."""
+    d_res = config.density * config.wavelength**2 * config.length
+    eta = (d_res / config.N_a) * (config.gamma / config.delta) ** 2 * config.N_ph
+    c_bound = math.sqrt(d_res / config.N_a)
+    return d_res, eta, c_bound
+
+
+def regime_notes(config: PhysicalConfig) -> list[str]:
+    """The six regime notes, in order: three on the config itself, three on the model it maps to."""
+    notes = []
+    if abs(config.delta) / config.gamma < 10:
+        notes.append(
+            f"|delta|/gamma = {abs(config.delta) / config.gamma:.3g} < 10; far-off-resonance assumption is strained"
+        )
+    fresnel = config.area / (config.wavelength * config.length)
+    if not 0.1 <= fresnel <= 10:
+        notes.append(f"Fresnel number {fresnel:.3g} outside [0.1, 10]")
+    implied = config.density * config.area * config.length
+    if abs(implied - config.N_a) > 0.01 * config.N_a:
+        notes.append(f"N_a = {config.N_a} inconsistent with density*area*length = {implied:.4g} (>1%)")
+    d_res, eta, c_bound = optical_depths(config)
+    c, c_photon = measurement_strength(config), measurement_strength_photon_form(config)
+    if eta >= 1.0:
+        notes.append(f"photon loss per atom exceeds 1 (eta = {eta:.3g}); low-damage regime violated")
+    if c > c_bound:
+        notes.append(f"C = {c:.3g} exceeds the bound sqrt(d_res/N_a) = {c_bound:.3g}")
+    if c_photon > 0 and c > 0 and not 0.5 <= c / c_photon <= 2.0:
+        notes.append(f"spontaneous-emission and photon-number forms of C disagree by factor {c / c_photon:.3g}")
+    return notes
+
+
+def derived_strengths(config: PhysicalConfig) -> DerivedStrengths:
+    """DerivedStrengths assembled from the formulas above."""
+    d_res, eta, c_bound = optical_depths(config)
+    return DerivedStrengths(
+        measurement_strength(config),
+        c_spon(config),
+        d_res,
+        eta,
+        c_bound,
+        measurement_strength_photon_form(config),
+        tuple(regime_notes(config)),
+    )

@@ -25,11 +25,7 @@ from dickesim import (
 )
 from dickesim.cat_analysis import cat_coherence, cat_peak_location, cat_peak_width
 from dickesim.fock_oracle import oracle_evolve, oracle_project, oracle_sequence
-from dickesim.physical_params import (
-    SPON_COUPLING_CONSTANT,
-    derive_strengths,
-    measurement_strength_photon_form,
-)
+from dickesim.physical_params import SPON_COUPLING_CONSTANT, derive_strengths
 from dickesim.pulse_scattering import distribution_peaks
 
 from closed_forms import null_width, photon_moments_closed_form, photon_moments_numeric
@@ -223,6 +219,6 @@ def test_physical_parameter_chain():
         lhs = s.C**2 * config.N_a / s.d_res
         rhs = SPON_COUPLING_CONSTANT * s.C_spon**2
         assert abs(lhs - rhs) <= 1e-6 * rhs
-        assert abs(s.C - measurement_strength_photon_form(config)) <= 1e-9 * s.C
+        assert abs(s.C - s.C_photon_form) <= 1e-9 * s.C
         assert s.eta < 1.0
         assert s.C <= math.sqrt(s.d_res / config.N_a) * (1 + 1e-12)

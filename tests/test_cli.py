@@ -251,6 +251,29 @@ class TestTrajectory:
             assert result.returncode == 0
             assert json.loads((tmp_path / "trajectory.jsonl").read_text())["n_m"] == 1
 
+    @pytest.mark.parametrize(
+        "pulses,message",
+        [
+            ('[{"C": true, "force_n": true}]', "C must be a number, got true"),
+            ('[{"C": "1e0", "force_n": "2"}]', 'C must be a number, got "1e0"'),
+            ('[{"C": 1, "mu": "0.5"}]', 'mu must be a number, got "0.5"'),
+            ('[{"C": 1, "force_n": true}]', "force_n must be a number, got true"),
+            (f'[{{"C": {10**400}}}]', "int too large to convert to float"),
+            (f'[{{"C": 1, "mu": {10**400}}}]', "int too large to convert to float"),
+        ],
+    )
+    def test_pulse_value_that_is_not_a_float_exits_1(self, tmp_path, pulses, message):
+        out = tmp_path / "o1"
+        result = run_cli(["trajectory", "-N", "4", "--pulses", pulses, "--seed", "1", "--out", str(out)])
+        assert_one_line_error(result, 1, f"bad --pulses value: {message}")
+        assert not out.exists()
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "o1"
+        result = run_cli(["trajectory", "-N", "4", "--pulses", '[{"C": 1}]', "--seed", "-1", "--out", str(out)])
+        assert_one_line_error(result, 1, "Invalid value for '--seed': -1 is not in the range x>=0")
+        assert not out.exists()
+
     def test_empty_pulse_list(self, tmp_path):
         result = run_cli(
             ["trajectory", "-N", "4", "--pulses", "[]", "--seed", "0", "--out", str(tmp_path)]
