@@ -59,12 +59,11 @@ def cat_coherence(state: DickeState, m_arm: int) -> float:
     That is exp(-2 Gamma m_arm^2) for dephasing Gamma: 1 for a pure cat,
     tending to 0 for a classical mixture.
     """
-    spin = state.spin
-    if spin.s_twice % 2 != 0:
+    if state.n_atoms % 2 != 0:
         raise DomainError("integer arm positions require an even atom number")
-    if not 0 < m_arm <= spin.s_twice // 2:
-        raise DomainError(f"arm M={m_arm} outside lattice 1..{spin.s_twice // 2}")
-    center = spin.s_twice // 2
+    center = state.n_atoms // 2
+    if not 0 < m_arm <= center:
+        raise DomainError(f"arm M={m_arm} outside lattice 1..{center}")
     pop = state.populations()
     if pop[center + m_arm] <= 1e-300 or pop[center - m_arm] <= 1e-300:
         raise DomainError("vanishing arm population; coherence undefined")

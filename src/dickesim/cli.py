@@ -179,13 +179,13 @@ def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt:
         "var_Sz": moments.var_sz,
         "xi": moments.xi,
     }
-    m_values = state.spin.m_values()
+    m_values = state.m_values()
     if n_m > 0 and c > 0:
         m_peak = cat_peak_location(c, n_m)
         arm = int(round(m_peak))
         summary["peak_locations"] = [-m_peak, m_peak]
         summary["lattice_peaks"] = [-arm, arm]
-        if mu < 1.0 and 0 < arm <= state.spin.s_twice // 2:
+        if mu < 1.0 and 0 < arm <= state.n_atoms // 2:
             try:
                 summary["coherence"] = cat_coherence(collapsed, arm)
             except DomainError:
@@ -227,6 +227,9 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
             )
             for item in raw
         ]
+        for item in raw:  # each is an object: item["C"] above failed on any other value
+            if unknown := sorted(set(item) - {"C", "mu", "force_n"}):
+                raise ValueError(f"unknown key {json.dumps(unknown[0])}; a pulse takes C, mu and force_n")
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise click.UsageError(f"bad --pulses value: {exc}") from exc
     if seed is None:

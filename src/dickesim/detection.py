@@ -49,7 +49,7 @@ def _kernel_diagonal(joint: JointState, n_m: int) -> tuple[np.ndarray, float, fl
         log_factorial = math.lgamma(n_m + 1)
     except OverflowError:  # n_m above ~2.6e305
         raise DomainError("photon count too large: log(n_m!) exceeds the double range") from None
-    cm = joint.c * joint.spin.m_values()
+    cm = joint.c * joint.state.m_values()
     log_k = -0.5 * joint.intensities()
     if n_m > 0:
         with np.errstate(divide="ignore"):
@@ -88,7 +88,7 @@ def collapse(joint: JointState, n_m: int) -> DickeState:
     k *= state.amplitudes
     k *= 1.0 / math.sqrt(t)  # a reciprocal, not a division: keeps seeded outputs bit-stable
     dephasing = state.dephasing + (1.0 - joint.mu) * joint.c * joint.c
-    return DickeState(state.spin, k, dephasing)
+    return DickeState(k, dephasing)
 
 
 def sample_outcome(joint: JointState, rng: np.random.Generator) -> int:
@@ -114,7 +114,7 @@ class PulseSpec:
     force_n: int | None = None
 
     def __post_init__(self):
-        if self.c < 0:
+        if not self.c >= 0:  # also rejects nan
             raise DomainError(f"pulse strength must be >= 0, got {self.c}")
         if not 0.0 <= self.mu <= 1.0:
             raise DomainError(f"efficiency must lie in [0,1], got {self.mu}")

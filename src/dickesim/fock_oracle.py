@@ -20,7 +20,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln, xlogy
 
 from .errors import ConditioningError, ConsistencyError, DomainError, TruncationError
-from .spin_basis import DickeState, SpinQuantum
+from .spin_basis import DickeState
 
 __all__ = ["TruncatedJointState", "oracle_evolve", "oracle_project", "oracle_detect", "oracle_sequence"]
 
@@ -30,19 +30,19 @@ LEAKAGE_BOUND = 1e-8
 
 @dataclass(frozen=True)
 class TruncatedJointState:
-    """amplitudes[M, n] over Dicke index M = -S..S and Fock index n."""
+    """amplitudes[M, n] over Dicke index M = -S..S and Fock index n = 0..fock_dim - 1."""
 
-    spin: SpinQuantum
-    fock_dim: int
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.spin.dim, self.fock_dim):
-            raise DomainError(
-                f"amplitude matrix has shape {amps.shape}, expected ({self.spin.dim}, {self.fock_dim})"
-            )
+        if amps.ndim != 2:
+            raise DomainError(f"amplitude matrix must be 2-D, got shape {amps.shape}")
         object.__setattr__(self, "amplitudes", amps)
+
+    @property
+    def fock_dim(self) -> int:
+        return self.amplitudes.shape[1]
 
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
@@ -68,47 +68,42 @@ def min_fock_dim(c: float, s: float) -> int:
     return int(math.ceil((c * s) ** 2 + 10.0 * c * s + 20.0))
 
 
-def _checked_fock_dim(spin: SpinQuantum, c: float, fock_dim: int | None) -> int:
-    """The Fock dimension for strength c: fock_dim, or the smallest safe one when None."""
+def _checked_fock_dim(state: DickeState, c: float) -> int:
+    """The smallest safe Fock dimension for strength c on a desk-scale state."""
     if c < 0:
         raise DomainError(f"pulse strength must be >= 0, got {c}")
-    if spin.s > MAX_ORACLE_S:
-        raise DomainError(f"oracle is desk-scale only: S = {spin.s} > {MAX_ORACLE_S}")
-    needed = min_fock_dim(c, spin.s)
-    if fock_dim is None:
-        return needed
-    if fock_dim < needed:
-        raise DomainError(f"fock_dim {fock_dim} below required {needed}")
-    return fock_dim
+    if state.s > MAX_ORACLE_S:
+        raise DomainError(f"oracle is desk-scale only: S = {state.s} > {MAX_ORACLE_S}")
+    return min_fock_dim(c, state.s)
 
 
-def _evolve(spin: SpinQuantum, vector: np.ndarray, c: float, fock_dim: int) -> TruncatedJointState:
+def _evolve(m_values: np.ndarray, vector: np.ndarray, c: float, fock_dim: int) -> TruncatedJointState:
     """Apply exp[-iC M (c^dag + c)] to a unit atomic vector (any phases) column by column."""
     k = _quadrature_generator(fock_dim)
     e0 = np.zeros(fock_dim, dtype=complex)
     e0[0] = 1.0
-    amps = np.zeros((spin.dim, fock_dim), dtype=complex)
-    for idx, m in enumerate(spin.m_values()):
+    amps = np.zeros((m_values.size, fock_dim), dtype=complex)
+    for idx, m in enumerate(m_values):
         if m == 0.0 or c == 0.0:
             column = e0
         else:
             column = expm(-1j * c * m * k) @ e0
         amps[idx] = vector[idx] * column
 
-    joint = TruncatedJointState(spin=spin, fock_dim=fock_dim, amplitudes=amps)
+    joint = TruncatedJointState(amps)
     leakage = abs(1.0 - joint.norm_sq())
     if leakage > LEAKAGE_BOUND:
         raise TruncationError(f"truncation leakage {leakage} exceeds {LEAKAGE_BOUND}")
     return joint
 
 
-def oracle_evolve(state: DickeState, c: float, fock_dim: int | None = None) -> TruncatedJointState:
+def oracle_evolve(state: DickeState, c: float) -> TruncatedJointState:
     """Apply exp[-iC M (c^dag + c)] per column by dense matrix exponentiation."""
-    fock_dim = _checked_fock_dim(state.spin, c, fock_dim)
+    fock_dim = _checked_fock_dim(state, c)
     if state.dephasing != 0.0:
         raise DomainError("oracle_evolve needs a pure state (dephasing 0)")
     state.require_normalized()
-    return _evolve(state.spin, state.amplitudes, c, fock_dim)
+    return _evolve(state.m_values(), state.amplitudes, c, fock_dim)
 
 
 def oracle_project(joint: TruncatedJointState, n_m: int) -> DickeState:
@@ -132,7 +127,7 @@ def oracle_project(joint: TruncatedJointState, n_m: int) -> DickeState:
         raise ConsistencyError(
             f"column n_m={n_m} keeps an imaginary part {leftover:.3g} at norm {norm:.3g} after its phase"
         )
-    return DickeState(joint.spin, column.real / norm)
+    return DickeState(column.real / norm)
 
 
 def oracle_detect(joint: TruncatedJointState, n_m: int, mu: float) -> np.ndarray:
@@ -168,18 +163,18 @@ def oracle_sequence(state: DickeState, pulses: list[tuple[float, float, int]]) -
     by R^dag from the QR factorisation W^dag = QR, which keeps W W^dag
     exactly and at most 2S+1 vectors.
     """
-    spin = state.spin
     if state.dephasing != 0.0:
         raise DomainError("oracle_sequence needs a pure state (dephasing 0)")
+    m_values = state.m_values()
     vectors = state.amplitudes[:, None]
     for c, mu, n_m in pulses:
-        fock_dim = _checked_fock_dim(spin, c, None)
+        fock_dim = _checked_fock_dim(state, c)
         parts = []
         for v in vectors.T:
             weight = float(np.linalg.norm(v))
             if weight == 0.0:
                 continue
-            joint = _evolve(spin, v / weight, c, fock_dim)
+            joint = _evolve(m_values, v / weight, c, fock_dim)
             parts.append(weight * oracle_detect(joint, n_m, mu))
         stacked = np.concatenate(parts, axis=1)
         if np.sum(np.abs(stacked) ** 2) <= 1e-300:

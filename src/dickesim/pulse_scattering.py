@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .spin_basis import DickeState, SpinQuantum
+from .spin_basis import DickeState
 
 # Largest photon-law table, n = 0..n_max, that photon_distribution builds
 # (80 MB of float64); a longer one is a DomainError before any allocation.
@@ -28,6 +28,10 @@ MAX_TABLE_LENGTH = 10**7
 # A term exp(x) with x below log(5e-324) ~ -744.4, the smallest subnormal
 # double, rounds to 0.0; the photon law skips every term below this floor.
 LOG_TERM_FLOOR = -760.0
+# distribution_peaks: counts within TIE_RTOL of each other form one plateau,
+# and a peak below FLOOR_RTOL of the largest P(n) is not reported
+TIE_RTOL = 1e-6
+FLOOR_RTOL = 1e-12
 
 __all__ = [
     "JointState",
@@ -48,20 +52,16 @@ class JointState:
     mu: float = 1.0
 
     @property
-    def spin(self) -> SpinQuantum:
-        return self.state.spin
-
-    @property
     def field_alphas(self) -> np.ndarray:
         """Coherent amplitude -iC*M of each branch."""
-        return -1j * self.c * self.spin.m_values()
+        return -1j * self.c * self.state.m_values()
 
     def populations(self) -> np.ndarray:
         return self.state.populations()
 
     def intensities(self) -> np.ndarray:
         """Mean detected count lambda_M = mu (C M)^2 of each branch."""
-        return self.mu * (self.c * self.spin.m_values()) ** 2
+        return self.mu * (self.c * self.state.m_values()) ** 2
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,15 @@ class PhotonDistribution:
     """P(n) for n = 0..n_max plus the truncated tail mass."""
 
     probabilities: np.ndarray = field(repr=False)
-    n_max: int = 0
     tail_mass: float = 0.0
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
+
+    @property
+    def n_max(self) -> int:
+        return self.probabilities.size - 1
 
 
 def apply_pulse(state: DickeState, strength: float, mu: float = 1.0) -> JointState:
@@ -84,10 +87,10 @@ def apply_pulse(state: DickeState, strength: float, mu: float = 1.0) -> JointSta
     mu = 1, finite, so every lambda_M of the joint state is finite.
     """
     c = float(strength)
-    cs = c * state.spin.s  # Python floats overflow to inf without a numpy warning
+    cs = c * state.s  # Python floats overflow to inf without a numpy warning
     if not (c >= 0.0 and math.isfinite(cs * cs)):
         raise DomainError(
-            f"pulse strength must be >= 0 with (C S)^2 finite, got C = {c} at S = {state.spin.s}"
+            f"pulse strength must be >= 0 with (C S)^2 finite, got C = {c} at S = {state.s}"
         )
     if not 0.0 <= mu <= 1.0:
         raise DomainError(f"detection efficiency must lie in [0,1], got {mu}")
@@ -123,7 +126,7 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
     trim = n_max is None
     if trim:
         # Python floats: a cap that overflows is a DomainError without a warning
-        c, s = math.sqrt(state.mu) * state.c, state.spin.s
+        c, s = math.sqrt(state.mu) * state.c, state.state.s
         length = c * c * s * s + 10.0 * c * s + 20.0
         if not math.isfinite(length):
             _require_table_length(length)
@@ -167,7 +170,7 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
         a, b = int(first[j]), int(last[j]) + 1
         probs[a:b] += w[j] * np.exp(-lam[j] + n[a:b] * log_lam[j] - log_factorial[a:b])
     tail = 1.0 - float(probs.sum())
-    return PhotonDistribution(probabilities=probs, n_max=n_max, tail_mass=tail)
+    return PhotonDistribution(probabilities=probs, tail_mass=tail)
 
 
 @dataclass(frozen=True)
@@ -179,24 +182,20 @@ class DistributionPeak:
     half_width: float
 
 
-def distribution_peaks(
-    probs: np.ndarray,
-    tie_rtol: float = 1e-6,
-    floor_rtol: float = 1e-12,
-) -> list[DistributionPeak]:
+def distribution_peaks(probs: np.ndarray) -> list[DistributionPeak]:
     """Local maxima of P(n) with 1/e half-widths in the sigma convention.
 
     A Poisson branch with integer mean lam has a genuine two-point mode at
-    {lam-1, lam}; near-ties within tie_rtol are therefore treated as one
+    {lam-1, lam}; near-ties within TIE_RTOL are therefore treated as one
     plateau and reported at its rightmost index.  The half-width is read off
     from the interpolated 1/e points of the peak and scaled by 1/sqrt(2),
     which for a Gaussian profile returns its sigma (the convention in which
     branch M of the initial-state distribution has half-width C*M).
     """
     p = np.asarray(probs, dtype=float)
-    floor = floor_rtol * p.max()
+    floor = FLOOR_RTOL * p.max()
     size = p.size
-    shrink = 1.0 - tie_rtol
+    shrink = 1.0 - TIE_RTOL
     left_ok = np.ones(size, dtype=bool)
     left_ok[1:] = p[1:] > p[:-1] * shrink
     right_ok = np.ones(size, dtype=bool)
@@ -208,7 +207,7 @@ def distribution_peaks(
             continue
         # extend over the near-tied plateau, keep its rightmost member
         pi = p[i]
-        j = _first_where(p, i + 1, 1, lambda seg: ~(np.abs(seg - pi) <= tie_rtol * pi)) - 1
+        j = _first_where(p, i + 1, 1, lambda seg: ~(np.abs(seg - pi) <= TIE_RTOL * pi)) - 1
         resume = j + 1
         if j + 1 < size and p[j + 1] > p[j]:
             continue

@@ -6,10 +6,6 @@ a_M and a dephasing Gamma: rho_MN = a_M a_N exp[-Gamma (M - N)^2 / 2].  The
 amplitudes are real because the binomial start is real and every pulse and
 every count is diagonal in S_z with a real conditioning kernel
 k_M = (C M)^n exp(-mu C^2 M^2 / 2); so <S_y> = 0 for every reachable state.
-The public API accepts the atom count N_a; the spin is carried as the
-integer S_twice = N_a = 2S, and M = -S + k is the index k of an amplitude.
-`m_values()` returns those M as float64, which holds every half-integer
-of this range exactly.
 
 The spin components couple M only to M and M +- 1, so every first and
 second spin moment needs only the diagonals `diagonal(k)`, k = 0, 1, 2.
@@ -28,39 +24,11 @@ from .errors import ContractViolationError, DomainError
 NORM_TOL = 1e-9
 
 __all__ = [
-    "SpinQuantum",
     "DickeState",
     "SpinMoments",
     "initial_coherent_spin_state",
     "spin_moments",
 ]
-
-
-@dataclass(frozen=True)
-class SpinQuantum:
-    """Total collective spin of N_a atoms, S = N_a/2."""
-
-    n_atoms: int
-
-    def __post_init__(self):
-        if self.n_atoms < 1:
-            raise DomainError(f"need at least one atom, got {self.n_atoms}")
-
-    @property
-    def s_twice(self) -> int:
-        return self.n_atoms
-
-    @property
-    def s(self) -> float:
-        return self.n_atoms / 2
-
-    @property
-    def dim(self) -> int:
-        return self.n_atoms + 1
-
-    def m_values(self) -> np.ndarray:
-        """S_z eigenvalues -S..S as floats, index order matching amplitudes."""
-        return (np.arange(self.dim) * 2 - self.s_twice) / 2.0
 
 
 @dataclass(frozen=True)
@@ -71,9 +39,9 @@ class DickeState:
     by the Schur product theorem (a projector times a Gaussian kernel).
     Input with a nonzero imaginary part is a DomainError, never dropped;
     input whose imaginary parts are all exactly 0.0 is stored as its real part.
+    The size is read from the array: N_a + 1 amplitudes give N_a, S and every M.
     """
 
-    spin: SpinQuantum
     amplitudes: np.ndarray = field(repr=False)
     dephasing: float = 0.0
 
@@ -84,14 +52,26 @@ class DickeState:
                 raise DomainError("amplitudes must be real: a reachable state has no imaginary part")
             amps = np.real(amps)
         amps = np.asarray(amps, dtype=float)
-        if amps.shape != (self.spin.dim,):
-            raise DomainError(
-                f"amplitude vector has shape {amps.shape}, expected ({self.spin.dim},)"
-            )
+        if amps.ndim != 1:
+            raise DomainError(f"amplitudes must be a 1-D vector, got shape {amps.shape}")
+        if amps.size < 2:
+            raise DomainError(f"need at least one atom, got {amps.size - 1}")
         if not math.isfinite(self.dephasing) or self.dephasing < 0.0:
             raise DomainError(f"dephasing must be finite and >= 0, got {self.dephasing}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dephasing", float(self.dephasing))
+
+    @property
+    def n_atoms(self) -> int:
+        return self.amplitudes.size - 1
+
+    @property
+    def s(self) -> float:
+        return self.n_atoms / 2
+
+    def m_values(self) -> np.ndarray:
+        """S_z eigenvalues -S..S as float64, which holds each of them exactly."""
+        return (np.arange(self.amplitudes.size) * 2 - self.n_atoms) / 2.0
 
     @property
     def norm_sq(self) -> float:
@@ -105,10 +85,10 @@ class DickeState:
         a = self.amplitudes
         return a[: a.size - k] * a[k:] * math.exp(-0.5 * self.dephasing * k * k)
 
-    def require_normalized(self, tol: float = NORM_TOL) -> None:
-        if abs(self.norm_sq - 1.0) > tol:
+    def require_normalized(self) -> None:
+        if abs(self.norm_sq - 1.0) > NORM_TOL:
             raise ContractViolationError(
-                f"state norm^2 = {self.norm_sq} deviates from 1 by more than {tol}"
+                f"state norm^2 = {self.norm_sq} deviates from 1 by more than {NORM_TOL}"
             )
 
 
@@ -123,25 +103,20 @@ class SpinMoments:
     xi: float | None
 
 
-def binomial_amplitudes(spin: SpinQuantum) -> np.ndarray:
+def binomial_amplitudes(n_atoms: int) -> np.ndarray:
     """A(S,M) for M = -S..S as a real vector."""
-    k = np.arange(spin.dim)
-    log_a = (
-        -0.5 * spin.s_twice * np.log(2.0)
-        + 0.5
-        * (
-            gammaln(spin.s_twice + 1)
-            - gammaln(k + 1)
-            - gammaln(spin.s_twice - k + 1)
-        )
+    k = np.arange(n_atoms + 1)
+    log_a = -0.5 * n_atoms * np.log(2.0) + 0.5 * (
+        gammaln(n_atoms + 1) - gammaln(k + 1) - gammaln(n_atoms - k + 1)
     )
     return np.exp(log_a)
 
 
 def initial_coherent_spin_state(n_atoms: int) -> DickeState:
     """The S_x = S eigenstate: real positive binomial amplitudes A(S,M)."""
-    spin = SpinQuantum(n_atoms)
-    return DickeState(spin, binomial_amplitudes(spin))
+    if n_atoms < 1:
+        raise DomainError(f"need at least one atom, got {n_atoms}")
+    return DickeState(binomial_amplitudes(n_atoms))
 
 
 def spin_moments(state: DickeState) -> SpinMoments:
@@ -157,8 +132,8 @@ def spin_moments(state: DickeState) -> SpinMoments:
     both are None when the mean spin vanishes.
     """
     state.require_normalized()
-    s = state.spin.s
-    m = state.spin.m_values()
+    s = state.s
+    m = state.m_values()
     pop = state.diagonal(0)
     ladder = np.sqrt(np.maximum(s * (s + 1) - m[:-1] * (m[:-1] + 1), 0.0))
     band1 = state.diagonal(1)

@@ -23,7 +23,7 @@ def normalized(state: DickeState) -> DickeState:
     n = np.sqrt(state.norm_sq)
     if n == 0.0:
         raise DomainError("cannot normalize the zero vector")
-    return DickeState(state.spin, state.amplitudes / n, state.dephasing)
+    return DickeState(state.amplitudes / n, state.dephasing)
 
 
 def photon_moments_closed_form(n_atoms: int, c: float) -> tuple[float, float]:
@@ -63,11 +63,10 @@ def null_width(state: DickeState) -> float:
     which is exact for Gaussian profiles and so resolves widths below the
     unit lattice spacing.
     """
-    spin = state.spin
-    if spin.s_twice % 2 != 0:
+    if state.n_atoms % 2 != 0:
         raise ShapeError("M = 0 lattice point requires an even atom number")
     pop = state.populations()
-    center = spin.s_twice // 2
+    center = state.n_atoms // 2
     p0 = pop[center]
     if np.argmax(pop) != center:
         raise ShapeError("distribution is not peaked at M = 0")

@@ -19,46 +19,53 @@ from scipy.special import gammaln
 
 from dickesim.errors import DomainError
 from dickesim.pulse_scattering import MAX_TABLE_LENGTH, DistributionPeak, JointState, PhotonDistribution
-from dickesim.spin_basis import DickeState, SpinQuantum
+from dickesim.spin_basis import DickeState
 
 
 def dense_rho(state: DickeState) -> np.ndarray:
     """rho_MN = a_M conj(a_N) exp[-dephasing (M - N)^2 / 2] as a full matrix."""
     a = state.amplitudes
-    m = state.spin.m_values()
+    m = state.m_values()
     gap = m[:, None] - m[None, :]
     return np.outer(a, a.conj()) * np.exp(-0.5 * state.dephasing * gap**2)
 
 
-def kernel_collapse_dense(rho: np.ndarray, spin: SpinQuantum, c: float, mu: float, n_m: int) -> np.ndarray:
+def _spin(n_atoms: int) -> tuple[float, np.ndarray]:
+    """S = N_a/2 and the S_z eigenvalues M = -S..S of n_atoms atoms."""
+    return n_atoms / 2, (np.arange(n_atoms + 1) * 2 - n_atoms) / 2.0
+
+
+def kernel_collapse_dense(rho: np.ndarray, n_atoms: int, c: float, mu: float, n_m: int) -> np.ndarray:
     """rho'_MN propto rho_MN (C^2 M N)^n exp[(1-mu) C^2 M N - C^2 (M^2 + N^2) / 2], trace 1."""
-    m = spin.m_values()
+    m = _spin(n_atoms)[1]
     mn = np.outer(m, m)
     sq = (m**2)[:, None] + (m**2)[None, :]
     out = rho * (c * c * mn) ** n_m * np.exp((1 - mu) * c * c * mn - 0.5 * c * c * sq)
     return out / np.trace(out).real
 
 
-def log_binomial_amplitude(s_twice: int, m_twice: int) -> float:
-    """ln A(S,M) with A(S,M) = 2^-S sqrt((2S)! / ((S+M)!(S-M)!)), one entry at a time."""
-    if s_twice < 0:
-        raise DomainError(f"negative total spin: s_twice={s_twice}")
-    if abs(m_twice) > s_twice:
-        raise DomainError(f"|M| > S: m_twice={m_twice}, s_twice={s_twice}")
-    if (s_twice - m_twice) % 2 != 0:
-        raise DomainError(f"M parity does not match S: m_twice={m_twice}, s_twice={s_twice}")
-    s_plus_m = (s_twice + m_twice) // 2
-    s_minus_m = (s_twice - m_twice) // 2
+def log_binomial_amplitude(n_atoms: int, m_twice: int) -> float:
+    """ln A(S,M) with A(S,M) = 2^-S sqrt((2S)! / ((S+M)!(S-M)!)), one entry at a time.
+
+    2S = n_atoms and 2M = m_twice, so both are integers.
+    """
+    if n_atoms < 0:
+        raise DomainError(f"negative total spin: n_atoms={n_atoms}")
+    if abs(m_twice) > n_atoms:
+        raise DomainError(f"|M| > S: m_twice={m_twice}, n_atoms={n_atoms}")
+    if (n_atoms - m_twice) % 2 != 0:
+        raise DomainError(f"M parity does not match S: m_twice={m_twice}, n_atoms={n_atoms}")
+    s_plus_m = (n_atoms + m_twice) // 2
+    s_minus_m = (n_atoms - m_twice) // 2
     return float(
-        -0.5 * s_twice * np.log(2.0)
-        + 0.5 * (gammaln(s_twice + 1) - gammaln(s_plus_m + 1) - gammaln(s_minus_m + 1))
+        -0.5 * n_atoms * np.log(2.0)
+        + 0.5 * (gammaln(n_atoms + 1) - gammaln(s_plus_m + 1) - gammaln(s_minus_m + 1))
     )
 
 
-def _apply_sp(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
+def _apply_sp(n_atoms: int, amps: np.ndarray) -> np.ndarray:
     """S_+ |psi> in the amplitude representation."""
-    m = spin.m_values()
-    s = spin.s
+    s, m = _spin(n_atoms)
     out = np.zeros_like(amps)
     # S_+|S,M> = sqrt(S(S+1) - M(M+1)) |S,M+1>
     c = np.sqrt(np.maximum(s * (s + 1) - m[:-1] * (m[:-1] + 1), 0.0))
@@ -66,32 +73,30 @@ def _apply_sp(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _apply_sm(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
-    m = spin.m_values()
-    s = spin.s
+def _apply_sm(n_atoms: int, amps: np.ndarray) -> np.ndarray:
+    s, m = _spin(n_atoms)
     out = np.zeros_like(amps)
     c = np.sqrt(np.maximum(s * (s + 1) - m[1:] * (m[1:] - 1), 0.0))
     out[:-1] = c * amps[1:]
     return out
 
 
-def apply_sx(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
-    return 0.5 * (_apply_sp(spin, amps) + _apply_sm(spin, amps))
+def apply_sx(n_atoms: int, amps: np.ndarray) -> np.ndarray:
+    return 0.5 * (_apply_sp(n_atoms, amps) + _apply_sm(n_atoms, amps))
 
 
-def apply_sy(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
-    return -0.5j * (_apply_sp(spin, amps) - _apply_sm(spin, amps))
+def apply_sy(n_atoms: int, amps: np.ndarray) -> np.ndarray:
+    return -0.5j * (_apply_sp(n_atoms, amps) - _apply_sm(n_atoms, amps))
 
 
-def apply_sz(spin: SpinQuantum, amps: np.ndarray) -> np.ndarray:
-    return spin.m_values() * amps
+def apply_sz(n_atoms: int, amps: np.ndarray) -> np.ndarray:
+    return _spin(n_atoms)[1] * amps
 
 
-def spin_matrices(spin: SpinQuantum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def spin_matrices(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (S_x, S_y, S_z) matrices in the M = -S..S basis."""
-    dim = spin.dim
-    m = spin.m_values()
-    s = spin.s
+    dim = n_atoms + 1
+    s, m = _spin(n_atoms)
     sz = np.diag(m).astype(complex)
     sp = np.zeros((dim, dim), dtype=complex)
     c = np.sqrt(np.maximum(s * (s + 1) - m[:-1] * (m[:-1] + 1), 0.0))
@@ -102,9 +107,9 @@ def spin_matrices(spin: SpinQuantum) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return sx, sy, sz
 
 
-def dense_xi(spin: SpinQuantum, rho: np.ndarray) -> float | None:
+def dense_xi(n_atoms: int, rho: np.ndarray) -> float | None:
     """Squeezing parameter from dense operator products Tr(rho A B); None when <S> ~ 0."""
-    sx, sy, sz = spin_matrices(spin)
+    sx, sy, sz = spin_matrices(n_atoms)
     means = np.array([np.real(np.trace(rho @ op)) for op in (sx, sy, sz)])
     length = float(np.linalg.norm(means))
     if length < 1e-9:
@@ -124,7 +129,7 @@ def dense_xi(spin: SpinQuantum, rho: np.ndarray) -> float | None:
             sym = (ops[i] @ ops[j] + ops[j] @ ops[i]) / 2
             cov[i, j] = float(np.real(np.trace(rho @ sym))) - mvals[i] * mvals[j]
     var_perp = max(float(np.linalg.eigvalsh(cov)[0]), 0.0)
-    return float(math.sqrt(2.0 * spin.s) * math.sqrt(var_perp) / length)
+    return float(math.sqrt(2.0 * _spin(n_atoms)[0]) * math.sqrt(var_perp) / length)
 
 
 def default_n_max(c: float, s: float) -> int:
@@ -157,7 +162,7 @@ def photon_distribution_direct(joint: JointState, n_max: int) -> PhotonDistribut
         for n in range(1, n_max + 1):
             term *= lam / n
             probs[n] += w * term
-    return PhotonDistribution(probabilities=probs, n_max=n_max, tail_mass=1.0 - probs.sum())
+    return PhotonDistribution(probabilities=probs, tail_mass=1.0 - probs.sum())
 
 
 def _log_poisson_matrix(intensities: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -182,7 +187,7 @@ def photon_distribution_dense(joint: JointState, n_max: int) -> PhotonDistributi
     """
     n = np.arange(n_max + 1)
     probs = joint.populations() @ np.exp(_log_poisson_matrix(joint.intensities(), n))
-    return PhotonDistribution(probabilities=probs, n_max=n_max, tail_mass=1.0 - float(probs.sum()))
+    return PhotonDistribution(probabilities=probs, tail_mass=1.0 - float(probs.sum()))
 
 
 def assert_equal_up_to_phase(actual: np.ndarray, expected: np.ndarray, atol: float) -> None:

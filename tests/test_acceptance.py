@@ -123,7 +123,7 @@ def test_cat_structure():
     state = initial_coherent_spin_state(20)
     collapsed = collapse(apply_pulse(state, 3.0), 30)
     pops = collapsed.populations()
-    m = state.spin.m_values()
+    m = state.m_values()
     center = 10
     assert pops[center] == 0.0
     top_two = set(np.argsort(pops)[-2:])
@@ -163,7 +163,7 @@ def test_inefficiency():
 
     for n_m in (0, 30):
         pure = dense_rho(collapse(apply_pulse(state, 3.0), n_m))
-        dense = kernel_collapse_dense(dense_rho(state), state.spin, 3.0, 1.0, n_m)
+        dense = kernel_collapse_dense(dense_rho(state), state.n_atoms, 3.0, 1.0, n_m)
         assert np.max(np.abs(dense - pure)) <= 1e-10
 
     coherences = []

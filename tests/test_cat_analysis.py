@@ -11,7 +11,7 @@ from dickesim.cat_analysis import (
 from dickesim.detection import collapse
 from dickesim.errors import DomainError, ShapeError
 from dickesim.pulse_scattering import apply_pulse
-from dickesim.spin_basis import DickeState, SpinQuantum, initial_coherent_spin_state
+from dickesim.spin_basis import DickeState, initial_coherent_spin_state
 
 from closed_forms import null_width
 from reference_paths import dense_rho
@@ -33,7 +33,7 @@ class TestPeakLocation:
     def test_matches_lattice_maximum(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
         pops = collapse(joint, 30).populations()
-        m = joint.spin.m_values()
+        m = joint.state.m_values()
         lattice_peak = abs(m[int(np.argmax(pops))])
         assert round(cat_peak_location(3.0, 30)) == lattice_peak == 2
 
@@ -107,7 +107,7 @@ class TestCatCoherence:
             cat_coherence(state, 0)
         with pytest.raises(DomainError):
             cat_coherence(state, 11)
-        odd = DickeState(SpinQuantum(5), np.ones(6) / math.sqrt(6), 0.5)
+        odd = DickeState(np.ones(6) / math.sqrt(6), 0.5)
         with pytest.raises(DomainError):
             cat_coherence(odd, 1)
 
@@ -115,4 +115,4 @@ class TestCatCoherence:
         amps = np.zeros(5)
         amps[2] = 1.0  # all weight at M = 0
         with pytest.raises(DomainError):
-            cat_coherence(DickeState(SpinQuantum(4), amps, 0.5), 1)
+            cat_coherence(DickeState(amps, 0.5), 1)

@@ -260,12 +260,21 @@ class TestTrajectory:
             ('[{"C": 1, "force_n": true}]', "force_n must be a number, got true"),
             (f'[{{"C": {10**400}}}]', "int too large to convert to float"),
             (f'[{{"C": 1, "mu": {10**400}}}]', "int too large to convert to float"),
+            ('[{"C": NaN}]', "pulse strength must be >= 0, got nan"),
+            ('[{"C": 1, "mu": NaN}]', "efficiency must lie in [0,1], got nan"),
         ],
     )
     def test_pulse_value_that_is_not_a_float_exits_1(self, tmp_path, pulses, message):
         out = tmp_path / "o1"
         result = run_cli(["trajectory", "-N", "4", "--pulses", pulses, "--seed", "1", "--out", str(out)])
         assert_one_line_error(result, 1, f"bad --pulses value: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pulses", ['[{"C": 0.5, "Mu": 0.1}]', '[{"C": 1}, {"C": 1, "force_n": 2, "n": 3}]'])
+    def test_unknown_pulse_key_exits_1(self, tmp_path, pulses):
+        out = tmp_path / "o1"
+        result = run_cli(["trajectory", "-N", "4", "--pulses", pulses, "--seed", "1", "--out", str(out)])
+        assert_one_line_error(result, 1, "bad --pulses value: unknown key")
         assert not out.exists()
 
     def test_negative_seed_is_a_usage_error(self, tmp_path):

@@ -16,7 +16,7 @@ from dickesim.detection import (
 )
 from dickesim.errors import ConditioningError, DomainError
 from dickesim.pulse_scattering import apply_pulse, photon_distribution
-from dickesim.spin_basis import DickeState, SpinQuantum, initial_coherent_spin_state, spin_moments
+from dickesim.spin_basis import DickeState, initial_coherent_spin_state, spin_moments
 
 from reference_paths import dense_rho, dense_xi, kernel_collapse_dense, photon_distribution_direct
 
@@ -56,7 +56,7 @@ class TestOutcomeProbability:
     def test_null_probability_consistency(self):
         # P(0) = sum_M rho_MM e^{-mu (C M)^2}
         state = initial_coherent_spin_state(20)
-        m = state.spin.m_values()
+        m = state.m_values()
         for mu in (1.0, 0.3):
             joint = apply_pulse(state, 2.0, mu)
             p0 = float(np.sum(state.populations() * np.exp(-mu * (2.0 * m) ** 2)))
@@ -88,7 +88,7 @@ class TestCollapsePerfect:
         state = initial_coherent_spin_state(20)
         joint = apply_pulse(state, 1.0)
         collapsed = collapse(joint, 0)
-        m = state.spin.m_values()
+        m = state.m_values()
         expected = state.amplitudes.real * np.exp(-0.5 * m**2)
         expected /= np.linalg.norm(expected)
         np.testing.assert_allclose(np.abs(collapsed.amplitudes), expected, atol=1e-12)
@@ -121,7 +121,7 @@ class TestCollapsePerfect:
         for mu in (0.0, 0.5, 0.9, 1.0 - 1e-12):
             n_m = 0 if mu == 0.0 else 2
             assert collapse(apply_pulse(state, 1.0, mu), n_m).dephasing > 0.0
-        dephased = DickeState(state.spin, state.amplitudes, 0.3)
+        dephased = DickeState(state.amplitudes, 0.3)
         assert collapse(apply_pulse(dephased, 1.0), 2).dephasing == 0.3
 
 
@@ -129,10 +129,10 @@ class TestCollapseImperfect:
     def test_perfect_efficiency_reduces_to_pure_projector(self):
         # at mu = 1 the dense kernel is the rank-one projector k k^T, also on a dephased state
         pure = initial_coherent_spin_state(20)
-        for state in (pure, DickeState(pure.spin, pure.amplitudes, 0.4)):
+        for state in (pure, DickeState(pure.amplitudes, 0.4)):
             for n_m in (0, 1, 30):
                 got = dense_rho(collapse(apply_pulse(state, 3.0), n_m))
-                want = kernel_collapse_dense(dense_rho(state), state.spin, 3.0, 1.0, n_m)
+                want = kernel_collapse_dense(dense_rho(state), state.n_atoms, 3.0, 1.0, n_m)
                 assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("mu", [0.0, 0.3, 0.85, 1.0])
@@ -181,7 +181,7 @@ class TestCollapseImperfect:
     def test_matches_closed_form_kernel(self):
         c, mu, n_m = 0.8, 0.55, 3
         state = collapse(apply_pulse(initial_coherent_spin_state(10), 1.1, 0.7), 2)
-        expected = kernel_collapse_dense(dense_rho(state), state.spin, c, mu, n_m)
+        expected = kernel_collapse_dense(dense_rho(state), state.n_atoms, c, mu, n_m)
         got = dense_rho(collapse(apply_pulse(state, c, mu), n_m))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
 
@@ -219,8 +219,7 @@ class TestSampling:
 
     def test_unsampleable_count_is_a_domain_error(self):
         # all mass on M = 10 at C = 1e10: lambda = 1e22, beyond numpy's Poisson sampler
-        spin = SpinQuantum(20)
-        top = DickeState(spin, np.eye(spin.dim)[-1])
+        top = DickeState(np.eye(21)[-1])
         with pytest.raises(DomainError, match="cannot sample a count"):
             sample_outcome(apply_pulse(top, 1e10), np.random.default_rng(0))
 
@@ -380,12 +379,11 @@ class TestRhoXi:
     def test_matches_pure_squeezing_for_projector(self):
         collapsed = collapse(apply_pulse(initial_coherent_spin_state(20), 0.5), 0)
         xi_pure = spin_moments(collapsed).xi
-        xi_rho = dense_xi(collapsed.spin, dense_rho(collapsed))
+        xi_rho = dense_xi(collapsed.n_atoms, dense_rho(collapsed))
         assert xi_rho == pytest.approx(xi_pure, rel=1e-12)
         assert xi_rho < 1.0  # a null outcome squeezes the state
 
     def test_vanishing_mean_spin_returns_none(self):
-        spin = initial_coherent_spin_state(4).spin
         amps = np.zeros(5)
         amps[0] = amps[4] = math.sqrt(0.5)  # balanced M = +-2 cat: no mean spin
-        assert spin_moments(DickeState(spin, amps, 3.0)).xi is None
+        assert spin_moments(DickeState(amps, 3.0)).xi is None

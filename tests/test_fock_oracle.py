@@ -14,7 +14,7 @@ from dickesim.fock_oracle import (
 )
 from dickesim.pulse_scattering import apply_pulse, photon_distribution
 from dickesim.detection import collapse
-from dickesim.spin_basis import DickeState, SpinQuantum, initial_coherent_spin_state
+from dickesim.spin_basis import DickeState, initial_coherent_spin_state
 
 from closed_forms import normalized
 from reference_paths import assert_equal_up_to_phase, dense_rho
@@ -39,7 +39,7 @@ class TestEvolution:
         state = initial_coherent_spin_state(4)
         joint = oracle_evolve(state, c)
         n = np.arange(joint.fock_dim)
-        for idx, m in enumerate(state.spin.m_values()):
+        for idx, m in enumerate(state.m_values()):
             column = np.abs(joint.amplitudes[idx]) ** 2
             weight = column.sum()
             assert weight == pytest.approx(abs(state.amplitudes[idx]) ** 2, abs=1e-12)
@@ -57,15 +57,10 @@ class TestEvolution:
         with pytest.raises(DomainError):
             oracle_evolve(initial_coherent_spin_state(14), 0.5)
 
-    def test_undersized_fock_space_rejected(self):
-        state = initial_coherent_spin_state(4)
-        with pytest.raises(DomainError):
-            oracle_evolve(state, 1.0, fock_dim=min_fock_dim(1.0, 2.0) - 1)
-
     def test_dephased_state_rejected(self):
         state = initial_coherent_spin_state(4)
         with pytest.raises(DomainError):
-            oracle_evolve(DickeState(state.spin, state.amplitudes, 0.5), 1.0)
+            oracle_evolve(DickeState(state.amplitudes, 0.5), 1.0)
 
     def test_negative_strength_rejected(self):
         with pytest.raises(DomainError):
@@ -86,9 +81,8 @@ class TestProjection:
     def test_real_projection_equals_collapse_sign_included(self, c):
         # tilted towards M > 0, every column's largest entry sits at M > 0,
         # where the oracle makes it positive and collapse's (C M)^n is too
-        spin = SpinQuantum(8)
-        tilt = np.exp(0.4 * spin.m_values())
-        tilted = normalized(DickeState(spin, initial_coherent_spin_state(8).amplitudes * tilt))
+        start = initial_coherent_spin_state(8)
+        tilted = normalized(DickeState(start.amplitudes * np.exp(0.4 * start.m_values())))
         joint = oracle_evolve(tilted, c)
         for n_m in range(8):
             brute = oracle_project(joint, n_m)
@@ -111,7 +105,7 @@ class TestProjection:
         amps = np.zeros((3, 4), dtype=complex)
         amps[:, 1] = [0.6, 0.0, 0.8j]  # two entries a quarter turn apart
         with pytest.raises(ConsistencyError, match="imaginary part"):
-            oracle_project(TruncatedJointState(SpinQuantum(2), 4, amps), 1)
+            oracle_project(TruncatedJointState(amps), 1)
 
     def test_projection_is_normalized(self):
         joint = oracle_evolve(initial_coherent_spin_state(6), 0.7)
@@ -163,13 +157,16 @@ class TestDetection:
             oracle_sequence(initial_coherent_spin_state(4), [(0.0, 0.5, 2)])
         state = initial_coherent_spin_state(4)
         with pytest.raises(DomainError):
-            oracle_sequence(DickeState(state.spin, state.amplitudes, 0.5), [(1.0, 0.5, 2)])
+            oracle_sequence(DickeState(state.amplitudes, 0.5), [(1.0, 0.5, 2)])
 
 
 class TestTruncatedJointState:
     def test_shape_validation(self):
-        with pytest.raises(DomainError):
-            TruncatedJointState(SpinQuantum(4), 10, np.zeros((3, 10)))
+        for bad in (np.zeros(10), np.zeros((3, 10, 2)), 0.0):
+            with pytest.raises(DomainError, match="2-D"):
+                TruncatedJointState(bad)
+        joint = TruncatedJointState(np.zeros((5, 10)))
+        assert joint.fock_dim == 10 and joint.amplitudes.shape == (5, 10)
 
     def test_min_fock_dim_grows_with_strength(self):
         assert min_fock_dim(2.0, 3.0) > min_fock_dim(1.0, 3.0) > min_fock_dim(0.1, 3.0)

@@ -9,14 +9,16 @@ from scipy.stats import poisson
 
 from dickesim.errors import ContractViolationError, DomainError, TruncationError
 from dickesim.pulse_scattering import (
+    FLOOR_RTOL,
     MAX_TABLE_LENGTH,
+    TIE_RTOL,
+    PhotonDistribution,
     apply_pulse,
     distribution_peaks,
     photon_distribution,
 )
 from dickesim.spin_basis import (
     DickeState,
-    SpinQuantum,
     initial_coherent_spin_state,
 )
 
@@ -86,11 +88,11 @@ class TestApplyPulse:
 
     def test_alpha_proportional_to_m(self):
         joint = apply_pulse(initial_coherent_spin_state(8), 0.7)
-        m = joint.spin.m_values()
+        m = joint.state.m_values()
         np.testing.assert_allclose(joint.field_alphas, -1j * 0.7 * m, atol=1e-14)
 
     def test_unnormalized_rejected(self):
-        state = DickeState(SpinQuantum(2), np.array([1.0, 1.0, 1.0]))
+        state = DickeState(np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ContractViolationError):
             apply_pulse(state, 1.0)
 
@@ -101,7 +103,7 @@ class TestPhotonDistribution:
     @pytest.mark.parametrize("n_atoms,c", [(4, 0.5), (10, 1.0), (20, 1.5)])
     def test_log_space_matches_direct_evaluation(self, n_atoms, c):
         joint = apply_pulse(initial_coherent_spin_state(n_atoms), c)
-        n_max = default_n_max(c, joint.spin.s)
+        n_max = default_n_max(c, joint.state.s)
         fast = photon_distribution(joint, n_max)
         direct = photon_distribution_direct(joint, n_max)
         np.testing.assert_allclose(fast.probabilities, direct.probabilities, atol=1e-12)
@@ -118,7 +120,7 @@ class TestPhotonDistribution:
     def test_density_matrix_gives_the_same_law(self):
         state = initial_coherent_spin_state(12)
         pure = photon_distribution(apply_pulse(state, 1.3, 0.6))
-        mixed = photon_distribution(apply_pulse(DickeState(state.spin, state.amplitudes, 0.8), 1.3, 0.6))
+        mixed = photon_distribution(apply_pulse(DickeState(state.amplitudes, 0.8), 1.3, 0.6))
         np.testing.assert_allclose(mixed.probabilities, pure.probabilities, rtol=1e-13, atol=0)
 
     def test_normalization_and_tail(self):
@@ -137,6 +139,10 @@ class TestPhotonDistribution:
         joint = apply_pulse(initial_coherent_spin_state(4), 1.0)
         with pytest.raises(DomainError):
             photon_distribution(joint, -1)
+
+    def test_n_max_is_read_from_the_table(self):
+        assert PhotonDistribution(np.array([0.5, 0.3, 0.2])).n_max == 2
+        assert photon_distribution(apply_pulse(initial_coherent_spin_state(4), 1.0), 7).n_max == 7
 
     def test_table_longer_than_the_limit_rejected(self):
         joint = apply_pulse(initial_coherent_spin_state(4), 1.0)
@@ -164,13 +170,13 @@ class TestPhotonDistribution:
     )
     @settings(max_examples=25, deadline=None)
     def test_windowed_law_matches_dense_law(self, odd, half_atoms, seed, sparse, c, mu, dephasing, cut):
-        spin = SpinQuantum(2 * half_atoms + odd)
+        dim = 2 * half_atoms + odd + 1
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=spin.dim)
+        a = rng.normal(size=dim)
         if sparse:
-            a[rng.permutation(spin.dim)[rng.integers(1, 3) :]] = 0.0
-        joint = apply_pulse(DickeState(spin, a / np.linalg.norm(a), dephasing), c, mu)
-        n_max = default_n_max(math.sqrt(mu) * c, spin.s)
+            a[rng.permutation(dim)[rng.integers(1, 3) :]] = 0.0
+        joint = apply_pulse(DickeState(a / np.linalg.norm(a), dephasing), c, mu)
+        n_max = default_n_max(math.sqrt(mu) * c, joint.state.s)
         if cut is not None:
             n_max = int(cut * n_max)
         assert_same_law(photon_distribution(joint, n_max), photon_distribution_dense(joint, n_max))
@@ -193,11 +199,10 @@ class TestPhotonDistribution:
 
     def test_single_branch_keeps_its_far_tails(self):
         # |S, M = S>: P(n) is one Poisson law of mean 10^4, kept down to 1e-250
-        spin = SpinQuantum(200)
-        a = np.zeros(spin.dim)
+        a = np.zeros(201)
         a[-1] = 1.0
-        joint = apply_pulse(DickeState(spin, a), 1.0)
-        n_max = default_n_max(1.0, spin.s)
+        joint = apply_pulse(DickeState(a), 1.0)
+        n_max = default_n_max(1.0, joint.state.s)
         dist = photon_distribution(joint, n_max)
         assert_same_law(dist, photon_distribution_dense(joint, n_max))
         assert np.count_nonzero(dist.probabilities > 1e-250) > 3000
@@ -215,13 +220,13 @@ class TestPhotonDistribution:
     )
     @settings(max_examples=25, deadline=None)
     def test_default_table_drops_only_exact_zeros(self, odd, half_atoms, seed, sparse, c, mu, dephasing):
-        spin = SpinQuantum(2 * half_atoms + odd)
+        dim = 2 * half_atoms + odd + 1
         rng = np.random.default_rng(seed)
-        a = rng.normal(size=spin.dim)
+        a = rng.normal(size=dim)
         if sparse:
-            a[rng.permutation(spin.dim)[rng.integers(1, 3) :]] = 0.0
-        joint = apply_pulse(DickeState(spin, a / np.linalg.norm(a), dephasing), c, mu)
-        full = photon_distribution(joint, default_n_max(math.sqrt(mu) * c, spin.s))
+            a[rng.permutation(dim)[rng.integers(1, 3) :]] = 0.0
+        joint = apply_pulse(DickeState(a / np.linalg.norm(a), dephasing), c, mu)
+        full = photon_distribution(joint, default_n_max(math.sqrt(mu) * c, joint.state.s))
         trimmed = photon_distribution(joint)
         assert trimmed.n_max <= full.n_max
         kept = full.probabilities[: trimmed.n_max + 1]
@@ -245,7 +250,7 @@ class TestPhotonDistribution:
         # (C S)^2 + 10 C S + 20 = 1.0e8 counts, but every window ends by 7.4e6
         joint = apply_pulse(initial_coherent_spin_state(20000), 1.0)
         with pytest.raises(DomainError):
-            default_n_max(1.0, joint.spin.s)
+            default_n_max(1.0, joint.state.s)
         assert photon_distribution(joint).n_max < MAX_TABLE_LENGTH
         with pytest.raises(DomainError):  # an overflowed C S is still rejected
             photon_distribution(apply_pulse(initial_coherent_spin_state(20), 1e200))
@@ -253,7 +258,7 @@ class TestPhotonDistribution:
     def test_law_memory_is_linear_in_table_length(self):
         # the dense 2001 x 11021 log-Poisson table alone would take 176 MB
         joint = apply_pulse(initial_coherent_spin_state(2000), 0.1)
-        n_max = default_n_max(0.1, joint.spin.s)
+        n_max = default_n_max(0.1, joint.state.s)
         tracemalloc.start()
         try:
             photon_distribution(joint, n_max)
@@ -269,7 +274,7 @@ class TestPhotonDistribution:
     @settings(max_examples=25, deadline=None)
     def test_distribution_is_a_probability_law(self, n_atoms, c):
         joint = apply_pulse(initial_coherent_spin_state(n_atoms), c)
-        dist = photon_distribution(joint, default_n_max(c, joint.spin.s))
+        dist = photon_distribution(joint, default_n_max(c, joint.state.s))
         assert np.all(dist.probabilities >= 0.0)
         assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-8)
 
@@ -304,17 +309,17 @@ class TestDistributionPeaks:
         probs[40] = 1e-15
         assert [p.n for p in distribution_peaks(probs)] == [10]
 
-    # random laws with near-tie plateaus (runs within tie_rtol of one base
+    # random laws with near-tie plateaus (runs within spread of one base
     # value), peaks at both ends, monotone arrays and single entries
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         size=st.integers(min_value=1, max_value=400),
         kind=st.sampled_from(["noise", "lobes", "increasing", "decreasing"]),
         plateaus=st.integers(min_value=0, max_value=6),
-        tie_rtol=st.sampled_from([1e-6, 1e-2]),
+        spread=st.sampled_from([TIE_RTOL, 1e-2]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_count_by_count_loop(self, seed, size, kind, plateaus, tie_rtol):
+    def test_matches_count_by_count_loop(self, seed, size, kind, plateaus, spread):
         rng = np.random.default_rng(seed)
         x = np.arange(size)
         if kind == "noise":
@@ -333,10 +338,10 @@ class TestDistributionPeaks:
             run = int(rng.integers(1, 40))
             base = p[start]
             stop = min(start + run, size)
-            p[start:stop] = base * (1.0 + tie_rtol * rng.uniform(-1.0, 1.0, stop - start))
+            p[start:stop] = base * (1.0 + spread * rng.uniform(-1.0, 1.0, stop - start))
         if rng.random() < 0.3:
             p[rng.random(size) < 0.2] = 0.0
-        assert distribution_peaks(p, tie_rtol=tie_rtol) == distribution_peaks_loop(p, tie_rtol=tie_rtol)
+        assert distribution_peaks(p) == distribution_peaks_loop(p, tie_rtol=TIE_RTOL, floor_rtol=FLOOR_RTOL)
 
     def test_statistics_law_matches_count_by_count_loop(self):
         # separated lobes at 9 M^2 for M = 0..46, each a Poisson of width 3 M
@@ -359,7 +364,7 @@ class TestMoments:
     @pytest.mark.parametrize("n_atoms,c", [(4, 0.5), (10, 1.5), (20, 3.0), (2000, 1.0)])
     def test_closed_form_matches_numeric(self, n_atoms, c):
         joint = apply_pulse(initial_coherent_spin_state(n_atoms), c)
-        dist = photon_distribution(joint, default_n_max(c, joint.spin.s))
+        dist = photon_distribution(joint, default_n_max(c, joint.state.s))
         mean_cf, std_cf = photon_moments_closed_form(n_atoms, c)
         mean_num, std_num = photon_moments_numeric(dist)
         assert mean_num == pytest.approx(mean_cf, rel=1e-8)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dickesim.errors import ContractViolationError, DomainError
 from dickesim.spin_basis import (
     DickeState,
-    SpinQuantum,
     binomial_amplitudes,
     initial_coherent_spin_state,
     spin_moments,
@@ -27,32 +26,50 @@ from reference_paths import (
 )
 
 
+def spin_quantum_numbers(n_atoms: int) -> tuple[int, float, np.ndarray]:
+    """(2S, S, M = -S..S) from the atom count alone: 2S is the integer N_a."""
+    s_twice = n_atoms
+    return s_twice, n_atoms / 2, (np.arange(n_atoms + 1) * 2 - s_twice) / 2.0
+
+
 class TestSpinQuantum:
+    """The spin quantum numbers N_a, S and M that a state reads from its amplitudes."""
+
     def test_basic_properties(self):
-        spin = SpinQuantum(20)
-        assert spin.s_twice == 20
-        assert spin.s == 10.0
-        assert spin.dim == 21
-        m = spin.m_values()
+        state = DickeState(np.ones(21))
+        assert state.n_atoms == 20
+        assert state.s == 10.0
+        assert state.amplitudes.size == 21
+        m = state.m_values()
         assert m[0] == -10.0 and m[-1] == 10.0 and m[10] == 0.0
 
     def test_half_integer_spin(self):
-        spin = SpinQuantum(3)
-        assert spin.s == 1.5
-        assert list(spin.m_values()) == [-1.5, -0.5, 0.5, 1.5]
+        state = DickeState(np.ones(4))
+        assert state.s == 1.5
+        assert list(state.m_values()) == [-1.5, -0.5, 0.5, 1.5]
 
     def test_zero_atoms_rejected(self):
-        with pytest.raises(DomainError):
-            SpinQuantum(0)
+        with pytest.raises(DomainError, match="need at least one atom, got 0"):
+            DickeState(np.ones(1))
+
+    @given(st.integers(min_value=1, max_value=4000))
+    @settings(max_examples=200, deadline=None)
+    def test_sizes_match_the_spin_quantum_formulas_bitwise(self, n_atoms):
+        state = initial_coherent_spin_state(n_atoms)
+        s_twice, s, m = spin_quantum_numbers(n_atoms)
+        assert state.n_atoms == s_twice and type(state.n_atoms) is int
+        assert state.s == s and type(state.s) is float
+        assert state.m_values().dtype == m.dtype and state.m_values().tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("amps", [np.float64(1.0), np.ones((3, 3)), np.ones((1, 3))], ids=["0-d", "2-d", "row"])
+    def test_input_that_is_not_a_vector_rejected(self, amps):
+        with pytest.raises(DomainError, match="1-D"):
+            DickeState(amps)
 
 
 class TestDickeState:
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            DickeState(SpinQuantum(2), np.ones(2))
-
     def test_require_normalized(self):
-        state = DickeState(SpinQuantum(2), np.array([1.0, 1.0, 1.0]))
+        state = DickeState(np.array([1.0, 1.0, 1.0]))
         with pytest.raises(ContractViolationError):
             state.require_normalized()
         assert abs(normalized(state).norm_sq - 1.0) < 1e-14
@@ -60,12 +77,12 @@ class TestDickeState:
     def test_dephasing_must_be_finite_and_non_negative(self):
         for bad in (-1e-3, math.inf, math.nan):
             with pytest.raises(DomainError):
-                DickeState(SpinQuantum(2), np.ones(3), bad)
+                DickeState(np.ones(3), bad)
 
     def test_diagonals_and_normalization_carry_dephasing(self):
         rng = np.random.default_rng(3)
         amps = rng.normal(size=7)
-        state = DickeState(SpinQuantum(6), amps, 0.7)
+        state = DickeState(amps, 0.7)
         rho = dense_rho(state)
         for k in range(7):
             np.testing.assert_allclose(state.diagonal(k), np.diagonal(rho, k), rtol=1e-13, atol=0)
@@ -73,21 +90,21 @@ class TestDickeState:
 
     def test_normalize_zero_vector_rejected(self):
         with pytest.raises(DomainError):
-            normalized(DickeState(SpinQuantum(2), np.zeros(3)))
+            normalized(DickeState(np.zeros(3)))
 
     def test_nonzero_imaginary_part_rejected(self):
         amps = np.array([0.6, 0.0, 0.8], dtype=complex)
         for bad in (1e-300j, -0.1j, complex(0.0, math.nan)):
             amps[1] = bad
             with pytest.raises(DomainError, match="real"):
-                DickeState(SpinQuantum(2), amps)
+                DickeState(amps)
 
     def test_zero_imaginary_parts_stored_as_float64(self):
         amps = np.array([0.6 + 0.0j, 0.0 - 0.0j, -0.8 + 0.0j])
-        state = DickeState(SpinQuantum(2), amps)
+        state = DickeState(amps)
         assert state.amplitudes.dtype == np.float64
         assert state.amplitudes.tolist() == [0.6, 0.0, -0.8]
-        assert DickeState(SpinQuantum(1), [1, 0]).amplitudes.dtype == np.float64
+        assert DickeState([1, 0]).amplitudes.dtype == np.float64
 
 
 class TestLogBinomialAmplitude:
@@ -101,16 +118,16 @@ class TestLogBinomialAmplitude:
         log_a = log_binomial_amplitude(20, 0)
         assert math.exp(2 * log_a) == pytest.approx(0.176197, rel=1e-4)
 
-    @pytest.mark.parametrize("s_twice", [1, 2, 7, 20, 33, 60])
-    def test_against_exact_integer_factorials(self, s_twice):
-        for m_twice in range(-s_twice, s_twice + 1, 2):
-            k_plus = (s_twice + m_twice) // 2
-            k_minus = (s_twice - m_twice) // 2
+    @pytest.mark.parametrize("n_atoms", [1, 2, 7, 20, 33, 60])
+    def test_against_exact_integer_factorials(self, n_atoms):
+        for m_twice in range(-n_atoms, n_atoms + 1, 2):
+            k_plus = (n_atoms + m_twice) // 2
+            k_minus = (n_atoms - m_twice) // 2
             exact_sq = Fraction(
-                math.factorial(s_twice),
+                math.factorial(n_atoms),
                 math.factorial(k_plus) * math.factorial(k_minus),
-            ) / Fraction(2**s_twice)
-            got = math.exp(2 * log_binomial_amplitude(s_twice, m_twice))
+            ) / Fraction(2**n_atoms)
+            got = math.exp(2 * log_binomial_amplitude(n_atoms, m_twice))
             assert got == pytest.approx(float(exact_sq), rel=1e-12)
 
     def test_domain_errors(self):
@@ -134,7 +151,7 @@ class TestInitialState:
 
     def test_sx_eigenstate(self):
         state = initial_coherent_spin_state(20)
-        residual = apply_sx(state.spin, state.amplitudes) - 10.0 * state.amplitudes
+        residual = apply_sx(state.n_atoms, state.amplitudes) - 10.0 * state.amplitudes
         assert np.max(np.abs(residual)) <= 1e-10
 
     def test_zero_atoms_rejected(self):
@@ -154,20 +171,20 @@ class TestSpinMoments:
 
     def test_ladder_consistency_with_dense_matrices(self):
         rng = np.random.default_rng(3)
-        spin = SpinQuantum(7)
-        amps = rng.normal(size=spin.dim) + 1j * rng.normal(size=spin.dim)
+        n_atoms = 7
+        amps = rng.normal(size=n_atoms + 1) + 1j * rng.normal(size=n_atoms + 1)
         amps /= np.linalg.norm(amps)
-        sx, sy, sz = spin_matrices(spin)
-        np.testing.assert_allclose(apply_sx(spin, amps), sx @ amps, atol=1e-12)
-        np.testing.assert_allclose(apply_sy(spin, amps), sy @ amps, atol=1e-12)
-        np.testing.assert_allclose(apply_sz(spin, amps), sz @ amps, atol=1e-12)
+        sx, sy, sz = spin_matrices(n_atoms)
+        np.testing.assert_allclose(apply_sx(n_atoms, amps), sx @ amps, atol=1e-12)
+        np.testing.assert_allclose(apply_sy(n_atoms, amps), sy @ amps, atol=1e-12)
+        np.testing.assert_allclose(apply_sz(n_atoms, amps), sz @ amps, atol=1e-12)
 
     def test_commutator_algebra(self):
-        sx, sy, sz = spin_matrices(SpinQuantum(5))
+        sx, sy, sz = spin_matrices(5)
         np.testing.assert_allclose(sx @ sy - sy @ sx, 1j * sz, atol=1e-12)
 
     def test_unnormalized_rejected(self):
-        state = DickeState(SpinQuantum(2), np.array([1.0, 1.0, 0.0]))
+        state = DickeState(np.array([1.0, 1.0, 0.0]))
         with pytest.raises(ContractViolationError):
             spin_moments(state)
 
@@ -175,25 +192,23 @@ class TestSpinMoments:
     @settings(max_examples=25, deadline=None)
     def test_mean_spin_bounded_by_s(self, n_atoms, seed):
         rng = np.random.default_rng(seed)
-        spin = SpinQuantum(n_atoms)
-        amps = rng.normal(size=spin.dim)
+        amps = rng.normal(size=n_atoms + 1)
         amps /= np.linalg.norm(amps)
-        mom = spin_moments(DickeState(spin, amps))
-        assert mom.mean_spin_length <= spin.s + 1e-9
+        mom = spin_moments(DickeState(amps))
+        assert mom.mean_spin_length <= n_atoms / 2 + 1e-9
         assert mom.var_sz >= 0.0 and mom.var_sy >= 0.0
 
     @given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_symmetric_real_amplitudes_have_zero_sz_sy(self, half, seed):
         rng = np.random.default_rng(seed)
-        spin = SpinQuantum(2 * half)
         raw = rng.uniform(0.1, 1.0, size=half + 1)
         amps = np.concatenate([raw[:0:-1], raw])
         amps /= np.linalg.norm(amps)
-        state = DickeState(spin, amps)
+        state = DickeState(amps)
         mom = spin_moments(state)
         assert abs(mom.mean_sz) <= 1e-12
-        sy = spin_matrices(spin)[1]
+        sy = spin_matrices(2 * half)[1]
         assert abs(np.trace(dense_rho(state) @ sy)) <= 1e-12
 
 
@@ -208,10 +223,9 @@ class TestSqueezing:
         assert spin_moments(state).var_perp == pytest.approx(5.0, rel=1e-10)
 
     def test_zero_mean_spin_has_no_xi(self):
-        spin = SpinQuantum(2)
         amps = np.zeros(3)
         amps[1] = 1.0  # the pure M = 0 state has no mean spin
-        mom = spin_moments(DickeState(spin, amps))
+        mom = spin_moments(DickeState(amps))
         assert mom.xi is None and mom.var_perp is None
 
 
@@ -225,11 +239,10 @@ class TestBandedMoments:
     def test_matches_dense_operator_products(self, dephasing, n_atoms, seed):
         # a random real amplitude vector, pure or dephased
         rng = np.random.default_rng(seed)
-        spin = SpinQuantum(n_atoms)
-        amps = rng.normal(size=spin.dim)
-        state = DickeState(spin, amps / np.linalg.norm(amps), dephasing)
+        amps = rng.normal(size=n_atoms + 1)
+        state = DickeState(amps / np.linalg.norm(amps), dephasing)
         rho = dense_rho(state)
-        sx, sy, sz = spin_matrices(state.spin)
+        sx, sy, sz = spin_matrices(state.n_atoms)
         mom = spin_moments(state)
 
         def expect(op):
@@ -240,7 +253,7 @@ class TestBandedMoments:
         assert mom.mean_sz == pytest.approx(expect(sz), rel=1e-10, abs=1e-12)
         assert mom.var_sz == pytest.approx(expect(sz @ sz) - expect(sz) ** 2, rel=1e-10, abs=1e-12)
         assert mom.var_sy == pytest.approx(expect(sy @ sy) - expect(sy) ** 2, rel=1e-10, abs=1e-12)
-        want = dense_xi(state.spin, rho)
+        want = dense_xi(state.n_atoms, rho)
         if want is None:
             assert mom.xi is None
         else:
@@ -248,12 +261,11 @@ class TestBandedMoments:
 
     def test_unnormalized_density_matrix_rejected(self):
         with pytest.raises(ContractViolationError):
-            spin_moments(DickeState(SpinQuantum(2), np.ones(3), 1.0))
+            spin_moments(DickeState(np.ones(3), 1.0))
 
 
 def test_binomial_amplitudes_match_scalar_form():
-    spin = SpinQuantum(15)
-    vec = binomial_amplitudes(spin)
+    vec = binomial_amplitudes(15)
     for k, m_twice in enumerate(range(-15, 16, 2)):
         assert vec[k] == pytest.approx(
             math.exp(log_binomial_amplitude(15, m_twice)), rel=1e-12
