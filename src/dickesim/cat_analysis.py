@@ -12,7 +12,7 @@ import math
 
 from scipy.optimize import bisect
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .spin_basis import DickeState
 
 __all__ = [
@@ -49,7 +49,7 @@ def cat_peak_width(c: float, n_m: int) -> float:
 
     lo, hi = 0.0, m_m
     if f(hi) > 0.0:
-        raise ShapeError("no sign change in (0, M_m]; width root not bracketed")
+        raise DomainError("no sign change in (0, M_m]; width root not bracketed")
     return float(bisect(f, lo, hi, xtol=1e-10, maxiter=200))
 
 

@@ -2,8 +2,8 @@
 
 Commands emit data files (never images); every invocation writes a
 RunManifest JSON next to its outputs so the run can be reproduced
-bit-exactly on the same platform.  Exit codes: 0 success, 1 usage/config
-error, 2 domain/conditioning error, 3 internal consistency failure.
+bit-exactly on the same platform.  Exit codes: 0 success, 1 an unreadable
+command line or config, 2 a domain error, 3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from .pulse_scattering import (
     photon_distribution,
 )
 from .spin_basis import initial_coherent_spin_state, spin_moments
-
-# exit-code contract: usage errors are 1, not click's default 2
-click.UsageError.exit_code = 1
 
 EXIT_DOMAIN = 2
 EXIT_CONSISTENCY = 3
@@ -129,6 +126,8 @@ def main() -> None:
 @click.option("--gnuplot", is_flag=True, help="Also write a gnuplot script.")
 def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gnuplot: bool) -> None:
     """Tabulate the scattered-photon number distribution and its peaks."""
+    if gnuplot and fmt != "csv":
+        raise click.UsageError("--gnuplot needs --format csv")
     state = initial_coherent_spin_state(n_atoms)
     joint = apply_pulse(state, c)
     dist = photon_distribution(joint, n_max)
@@ -147,7 +146,7 @@ def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gn
         },
     )
     outputs = [table, sidecar]
-    if gnuplot and fmt == "csv":
+    if gnuplot:
         gp = out_dir / "statistics.gp"
         script = (
             "set datafile separator ','\n"
@@ -197,14 +196,23 @@ def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt:
     _finish(out_dir, "collapse", {"n_atoms": n_atoms, "C": c, "n_m": n_m, "mu": mu, "format": fmt}, None, [table, sidecar])
 
 
-def _number(value, key: str) -> int | float:
-    """A --pulses value that is a JSON number, refusing a bool, a string and a
-    force_n float with a fractional part that int() would drop."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
-    if key == "force_n" and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"force_n must be an integer, got {value}")
-    return value
+def _pulse(index: int, item) -> PulseSpec:
+    """One --pulses item, read in one pass: a JSON object, its keys, its C, then its
+    values, each a JSON number (not a bool or a string) and force_n integral."""
+    if not isinstance(item, dict):
+        raise ValueError(f"pulse {index} must be a JSON object, got {json.dumps(item)}")
+    if unknown := sorted(set(item) - {"C", "mu", "force_n"}):
+        raise ValueError(f"unknown key {json.dumps(unknown[0])}; a pulse takes C, mu and force_n")
+    if "C" not in item:
+        raise ValueError(f"pulse {index} has no C")
+    for key in ("C", "mu", "force_n"):
+        value = item.get(key, 0)  # an absent mu or force_n passes
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    force_n = item.get("force_n")
+    if isinstance(force_n, float) and not force_n.is_integer():  # int() would drop the fraction
+        raise ValueError(f"force_n must be an integer, got {force_n}")
+    return PulseSpec(float(item["C"]), float(item.get("mu", 1.0)), None if force_n is None else int(force_n))
 
 
 @main.command()
@@ -219,18 +227,8 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
         raw = json.loads(pulses_json)
         if not isinstance(raw, list):
             raise ValueError("pulses must be a JSON array")
-        specs = [
-            PulseSpec(
-                c=float(_number(item["C"], "C")),
-                mu=float(_number(item.get("mu", 1.0), "mu")),
-                force_n=int(_number(item["force_n"], "force_n")) if "force_n" in item else None,
-            )
-            for item in raw
-        ]
-        for item in raw:  # each is an object: item["C"] above failed on any other value
-            if unknown := sorted(set(item) - {"C", "mu", "force_n"}):
-                raise ValueError(f"unknown key {json.dumps(unknown[0])}; a pulse takes C, mu and force_n")
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        specs = [_pulse(index, item) for index, item in enumerate(raw)]
+    except (ValueError, OverflowError) as exc:  # OverflowError: float() of an int beyond the double range
         raise click.UsageError(f"bad --pulses value: {exc}") from exc
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")

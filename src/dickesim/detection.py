@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DickesimError, DomainError
+from .errors import DickesimError, DomainError
 from .pulse_scattering import JointState, PhotonDistribution, apply_pulse, photon_distribution
 from .spin_basis import DickeState, spin_moments
 
@@ -43,8 +44,9 @@ __all__ = [
 def _kernel_diagonal(joint: JointState, n_m: int) -> tuple[np.ndarray, float, float]:
     """(k, t, log P(n_m)) with k the kernel diagonal scaled so max rho_MM k_M^2 = 1
     and t = sum rho_MM k_M^2, the trace of the unnormalised conditioned state."""
-    if n_m < 0:
-        raise DomainError(f"photon count must be >= 0, got {n_m}")
+    integral = isinstance(n_m, numbers.Integral) or (isinstance(n_m, float) and n_m.is_integer())
+    if isinstance(n_m, bool) or not integral or n_m < 0:
+        raise DomainError(f"photon count must be an integer >= 0, got {n_m}")
     try:
         log_factorial = math.lgamma(n_m + 1)
     except OverflowError:  # n_m above ~2.6e305
@@ -79,11 +81,11 @@ def collapse(joint: JointState, n_m: int) -> DickeState:
     """Condition the atoms on n_m detected photons.
 
     The amplitudes become k * a / sqrt(t) and the dephasing grows by
-    (1 - mu) C^2.  Raises ConditioningError when P(n_m) < 1e-300.
+    (1 - mu) C^2.  Raises DomainError when P(n_m) < 1e-300.
     """
     k, t, log_p = _kernel_diagonal(joint, n_m)
     if log_p < LOG_PROB_FLOOR:
-        raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
+        raise DomainError(f"outcome n_m={n_m} has probability below 1e-300")
     state = joint.state
     k *= state.amplitudes
     k *= 1.0 / math.sqrt(t)  # a reciprocal, not a division: keeps seeded outputs bit-stable
@@ -107,19 +109,12 @@ def sample_outcome(joint: JointState, rng: np.random.Generator) -> int:
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """One pulse in a sequential run: strength, efficiency, optional forced outcome."""
+    """One pulse in a sequential run: strength, efficiency, optional forced outcome.
+    Its values are checked where they are used, by apply_pulse and collapse."""
 
     c: float
     mu: float = 1.0
     force_n: int | None = None
-
-    def __post_init__(self):
-        if not self.c >= 0:  # also rejects nan
-            raise DomainError(f"pulse strength must be >= 0, got {self.c}")
-        if not 0.0 <= self.mu <= 1.0:
-            raise DomainError(f"efficiency must lie in [0,1], got {self.mu}")
-        if self.force_n is not None and self.force_n < 0:
-            raise DomainError(f"forced outcome must be >= 0, got {self.force_n}")
 
 
 @dataclass(frozen=True)

@@ -1,33 +1,18 @@
-"""Exception hierarchy shared by all dickesim modules."""
+"""Exception hierarchy shared by all dickesim modules: one class per CLI exit code."""
 
 
 class DickesimError(Exception):
     """Base class for all dickesim errors."""
 
 
+class ConfigError(DickesimError, ValueError):
+    """Exit 1: malformed physical configuration input."""
+
+
 class DomainError(DickesimError, ValueError):
-    """Argument outside the mathematical domain of an operation."""
-
-
-class ContractViolationError(DickesimError):
-    """An input violates a documented precondition (e.g. unnormalized state)."""
-
-
-class ConditioningError(DickesimError):
-    """Requested measurement outcome is numerically impossible (P < 1e-300)."""
-
-
-class TruncationError(DickesimError):
-    """A truncated distribution or Fock space leaks more mass than allowed."""
-
-
-class ShapeError(DickesimError):
-    """A distribution does not have the shape required by the operation."""
+    """Exit 2: a value outside an operation's domain: an argument out of range, an unnormalised
+    state, an outcome below probability 1e-300, a leaking truncation or a shape a routine needs."""
 
 
 class ConsistencyError(DickesimError):
-    """Internal cross-check failed (closed form vs numerical disagreement)."""
-
-
-class ConfigError(DickesimError, ValueError):
-    """Malformed physical configuration input."""
+    """Exit 3: internal cross-check failed (closed form vs numerical disagreement)."""

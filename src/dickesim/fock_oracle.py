@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammaln, xlogy
 
-from .errors import ConditioningError, ConsistencyError, DomainError, TruncationError
+from .errors import ConsistencyError, DomainError
 from .spin_basis import DickeState
 
 __all__ = ["TruncatedJointState", "oracle_evolve", "oracle_project", "oracle_detect", "oracle_sequence"]
@@ -93,7 +93,7 @@ def _evolve(m_values: np.ndarray, vector: np.ndarray, c: float, fock_dim: int) -
     joint = TruncatedJointState(amps)
     leakage = abs(1.0 - joint.norm_sq())
     if leakage > LEAKAGE_BOUND:
-        raise TruncationError(f"truncation leakage {leakage} exceeds {LEAKAGE_BOUND}")
+        raise DomainError(f"truncation leakage {leakage} exceeds {LEAKAGE_BOUND}")
     return joint
 
 
@@ -119,7 +119,7 @@ def oracle_project(joint: TruncatedJointState, n_m: int) -> DickeState:
     column = joint.amplitudes[:, n_m]
     norm = math.sqrt(float(np.sum(np.abs(column) ** 2)))
     if norm * norm <= 1e-300:
-        raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
+        raise DomainError(f"outcome n_m={n_m} has probability below 1e-300")
     largest = column[np.argmax(np.abs(column))]
     column = column * (abs(largest) / largest)
     leftover = float(np.linalg.norm(column.imag))
@@ -178,7 +178,7 @@ def oracle_sequence(state: DickeState, pulses: list[tuple[float, float, int]]) -
             parts.append(weight * oracle_detect(joint, n_m, mu))
         stacked = np.concatenate(parts, axis=1)
         if np.sum(np.abs(stacked) ** 2) <= 1e-300:
-            raise ConditioningError(f"outcome n_m={n_m} has probability below 1e-300")
+            raise DomainError(f"outcome n_m={n_m} has probability below 1e-300")
         vectors = np.linalg.qr(stacked.conj().T, mode="r").conj().T
         vectors /= np.linalg.norm(vectors)
     return vectors @ vectors.conj().T

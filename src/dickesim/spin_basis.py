@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ContractViolationError, DomainError
+from .errors import DomainError
 
 NORM_TOL = 1e-9
 
@@ -87,7 +87,7 @@ class DickeState:
 
     def require_normalized(self) -> None:
         if abs(self.norm_sq - 1.0) > NORM_TOL:
-            raise ContractViolationError(
+            raise DomainError(
                 f"state norm^2 = {self.norm_sq} deviates from 1 by more than {NORM_TOL}"
             )
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from dickesim.errors import DomainError, ShapeError, TruncationError
+from dickesim.errors import DomainError
 from dickesim.physical_params import SPON_COUPLING_CONSTANT, DerivedStrengths, PhysicalConfig
 from dickesim.pulse_scattering import PhotonDistribution
 from dickesim.spin_basis import DickeState
@@ -46,7 +46,7 @@ def photon_moments_closed_form(n_atoms: int, c: float) -> tuple[float, float]:
 def photon_moments_numeric(dist: PhotonDistribution) -> tuple[float, float]:
     """First two moments of the tabulated distribution."""
     if dist.tail_mass >= 1e-8:
-        raise TruncationError(
+        raise DomainError(
             f"tail mass {dist.tail_mass} too large for reliable moments"
         )
     n = np.arange(dist.probabilities.size)
@@ -64,19 +64,19 @@ def null_width(state: DickeState) -> float:
     unit lattice spacing.
     """
     if state.n_atoms % 2 != 0:
-        raise ShapeError("M = 0 lattice point requires an even atom number")
+        raise DomainError("M = 0 lattice point requires an even atom number")
     pop = state.populations()
     center = state.n_atoms // 2
     p0 = pop[center]
     if np.argmax(pop) != center:
-        raise ShapeError("distribution is not peaked at M = 0")
+        raise DomainError("distribution is not peaked at M = 0")
     right = pop[center:]
     if np.any(np.diff(right) > 1e-12 * p0):
-        raise ShapeError("distribution is not unimodal around M = 0")
+        raise DomainError("distribution is not unimodal around M = 0")
     target = p0 / math.e
     below = np.nonzero(right < target)[0]
     if below.size == 0:
-        raise ShapeError("distribution never drops to 1/e of its peak")
+        raise DomainError("distribution never drops to 1/e of its peak")
     j = int(below[0])
     log_hi = math.log(right[j - 1] / p0)
     log_lo = math.log(right[j] / p0)

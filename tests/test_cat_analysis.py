@@ -9,7 +9,7 @@ from dickesim.cat_analysis import (
     cat_peak_width,
 )
 from dickesim.detection import collapse
-from dickesim.errors import DomainError, ShapeError
+from dickesim.errors import DomainError
 from dickesim.pulse_scattering import apply_pulse
 from dickesim.spin_basis import DickeState, initial_coherent_spin_state
 
@@ -75,12 +75,12 @@ class TestNullWidth:
         assert null_width(collapsed) == pytest.approx(1.0 / c, rel=0.05)
 
     def test_odd_atom_number_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="requires an even atom number"):
             null_width(initial_coherent_spin_state(5))
 
     def test_cat_state_rejected(self):
         cat = collapse(apply_pulse(initial_coherent_spin_state(20), 3.0), 30)
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="not peaked at M = 0"):
             null_width(cat)
 
 

@@ -9,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 from unittest import mock
 
+import click
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import dickesim
 from dickesim import cli
+from dickesim.errors import ConfigError, ConsistencyError, DomainError
 
 from reference_paths import csv_rows
 
@@ -77,6 +79,12 @@ class TestStatistics:
         assert result.returncode == 0
         script = (tmp_path / "statistics.gp").read_text()
         assert "statistics.csv" in script
+
+    def test_gnuplot_needs_csv_format(self, tmp_path):
+        out = tmp_path / "o1"
+        result = run_cli(["statistics", "-N", "6", "-C", "1", "--gnuplot", "--format", "json", "--out", str(out)])
+        assert_one_line_error(result, 1, "error: --gnuplot needs --format csv")
+        assert not out.exists()
 
     def test_missing_required_option_exits_1(self, tmp_path):
         result = run_cli(["statistics", "-C", "3", "--out", str(tmp_path)])
@@ -260,11 +268,25 @@ class TestTrajectory:
             ('[{"C": 1, "force_n": true}]', "force_n must be a number, got true"),
             (f'[{{"C": {10**400}}}]', "int too large to convert to float"),
             (f'[{{"C": 1, "mu": {10**400}}}]', "int too large to convert to float"),
-            ('[{"C": NaN}]', "pulse strength must be >= 0, got nan"),
-            ('[{"C": 1, "mu": NaN}]', "efficiency must lie in [0,1], got nan"),
         ],
     )
     def test_pulse_value_that_is_not_a_float_exits_1(self, tmp_path, pulses, message):
+        out = tmp_path / "o1"
+        result = run_cli(["trajectory", "-N", "4", "--pulses", pulses, "--seed", "1", "--out", str(out)])
+        assert_one_line_error(result, 1, f"bad --pulses value: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "pulses,message",
+        [
+            ("[3]", "pulse 0 must be a JSON object, got 3"),
+            ('["C"]', 'pulse 0 must be a JSON object, got "C"'),
+            ("[[1]]", "pulse 0 must be a JSON object, got [1]"),
+            ('[{"C": 1}, null]', "pulse 1 must be a JSON object, got null"),
+            ('[{"mu": 1}]', "pulse 0 has no C"),
+        ],
+    )
+    def test_pulse_that_is_not_an_object_with_a_c_exits_1(self, tmp_path, pulses, message):
         out = tmp_path / "o1"
         result = run_cli(["trajectory", "-N", "4", "--pulses", pulses, "--seed", "1", "--out", str(out)])
         assert_one_line_error(result, 1, f"bad --pulses value: {message}")
@@ -538,6 +560,64 @@ def test_manifest_and_stdout_name_exactly_the_files_written(tmp_path, args):
     listed = json.loads(manifest.read_text())["output_paths"]
     assert len(set(listed)) == len(listed) and set(listed) | {str(manifest)} == written
     assert result.stdout == "wrote " + ", ".join([*listed, str(manifest)]) + "\n"
+
+
+PULSE_STRENGTH = "pulse strength must be >= 0 with (C S)^2 finite, got C = {} at S = 2.0"
+EFFICIENCY = "detection efficiency must lie in [0,1], got {}"
+
+
+@pytest.mark.parametrize(
+    "pulse,c,mu,n_m,message",
+    [
+        ('{"C": -1}', "-1", "1", "0", PULSE_STRENGTH.format(-1.0)),
+        ('{"C": NaN}', "nan", "1", "0", PULSE_STRENGTH.format(math.nan)),
+        ('{"C": 1, "mu": 2}', "1", "2", "0", EFFICIENCY.format(2.0)),
+        ('{"C": 1, "mu": NaN}', "1", "nan", "0", EFFICIENCY.format(math.nan)),
+        ('{"C": 1, "force_n": -1}', "1", "1", "-1", "photon count must be an integer >= 0, got -1"),
+    ],
+    ids=["C=-1", "C=NaN", "mu=2", "mu=NaN", "count=-1"],
+)
+def test_pulse_value_outside_the_domain_exits_2_alike_in_every_command(tmp_path, pulse, c, mu, n_m, message):
+    """A C, mu or count out of range is one rule, owned by apply_pulse or the
+    conditioning kernel: the same exit 2 and message from every command that
+    takes it, prefixed with the pulse in trajectory.  statistics takes no mu
+    or count, and squeeze-scan's grid reads no C <= 0 or NaN strength."""
+    runs = {
+        "trajectory": (["trajectory", "-N", "4", "--pulses", f"[{pulse}]", "--seed", "1"], f"pulse 0: {message}"),
+        "collapse": (["collapse", "-N", "4", "-C", c, "-n", n_m, "--mu", mu], message),
+    }
+    if mu == "1" and n_m == "0":
+        runs["statistics"] = (["statistics", "-N", "4", "-C", c], message)
+    if c == "1" and n_m == "0":
+        args = ["squeeze-scan", "-N", "4", "--mu", mu, "--c-min", "1", "--c-max", "1", "--c-step", "1"]
+        runs["squeeze-scan"] = (args, message)
+    for name, (args, expected) in runs.items():
+        out = tmp_path / name
+        result = run_cli([*args, "--out", str(out)])
+        assert (result.returncode, result.stderr) == (2, f"error: {expected}\n"), name
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error,code,prefix",
+    [
+        (DomainError, 2, "error: "),
+        (ConfigError, 1, "config error: "),
+        (ConsistencyError, 3, "internal consistency failure: "),
+        (OSError, 2, "I/O error: "),
+    ],
+    ids=["DomainError", "ConfigError", "ConsistencyError", "OSError"],
+)
+def test_each_error_class_has_one_exit_code_and_one_stderr_line(monkeypatch, capsys, error, code, prefix):
+    def fail():
+        raise error("it failed")
+
+    monkeypatch.setattr(cli, "main", click.Command("fail", callback=fail))
+    monkeypatch.setattr(sys, "argv", ["dickesim"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run()
+    assert exit_info.value.code == code
+    assert capsys.readouterr() == ("", f"{prefix}it failed\n")
 
 
 # floats on both sides of repr's switch to exponent notation (1e-4, 1e16),

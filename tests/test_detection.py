@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from dickesim.detection import (
     run_trajectory,
     sample_outcome,
 )
-from dickesim.errors import ConditioningError, DomainError
+from dickesim.errors import DomainError
 from dickesim.pulse_scattering import apply_pulse, photon_distribution
 from dickesim.spin_basis import DickeState, initial_coherent_spin_state, spin_moments
 
@@ -67,6 +68,28 @@ class TestOutcomeProbability:
         with pytest.raises(DomainError):
             log_outcome_probability(joint, -1)
 
+    @pytest.mark.parametrize(
+        "n_m",
+        [1.5, True, False, np.True_, math.nan, math.inf, -math.inf, -1, -2.0, "1"],
+        ids=["fraction", "True", "False", "np.True_", "nan", "inf", "-inf", "-1", "-2.0", "str"],
+    )
+    def test_count_that_is_not_an_integer_at_least_0_rejected(self, n_m):
+        state = initial_coherent_spin_state(4)
+        joint = apply_pulse(state, 1.0)
+        message = re.escape(f"photon count must be an integer >= 0, got {n_m}")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            collapse(joint, n_m)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            log_outcome_probability(joint, n_m)
+        with pytest.raises(DomainError, match=f"^pulse 0: {message}$"):
+            run_trajectory(state, [PulseSpec(c=1.0, force_n=n_m)], seed=1)
+
+    @pytest.mark.parametrize("n_m", [2.0, np.int64(2), np.int32(2), np.uint8(2)], ids=["2.0", "int64", "int32", "uint8"])
+    def test_integral_count_of_any_number_type_accepted(self, n_m):
+        joint = apply_pulse(initial_coherent_spin_state(4), 1.0)
+        assert log_outcome_probability(joint, n_m) == log_outcome_probability(joint, 2)
+        np.testing.assert_array_equal(collapse(joint, n_m).amplitudes, collapse(joint, 2).amplitudes)
+
     @pytest.mark.parametrize("n_m", [10**306, 10**309, 10**400], ids=["lgamma-overflows", "above-float-max", "far-above"])
     def test_count_beyond_the_double_range_rejected(self, n_m):
         joint = apply_pulse(initial_coherent_spin_state(20), 1.0)
@@ -79,7 +102,7 @@ class TestOutcomeProbability:
         # log(10^305 !) ~ 7.0e307 is finite, so this count has a log-probability
         joint = apply_pulse(initial_coherent_spin_state(20), 1.0)
         assert log_outcome_probability(joint, 10**305) < -1e307
-        with pytest.raises(ConditioningError):
+        with pytest.raises(DomainError, match="has probability below 1e-300"):
             collapse(joint, 10**305)
 
 
@@ -105,7 +128,7 @@ class TestCollapsePerfect:
 
     def test_impossible_outcome_rejected(self):
         joint = apply_pulse(initial_coherent_spin_state(4), 0.0)
-        with pytest.raises(ConditioningError):
+        with pytest.raises(DomainError, match="has probability below 1e-300"):
             collapse(joint, 5)
 
     def test_large_count_stays_finite(self):
@@ -157,9 +180,9 @@ class TestCollapseImperfect:
 
     def test_impossible_outcome_rejected(self):
         state = initial_coherent_spin_state(4)
-        with pytest.raises(ConditioningError):
+        with pytest.raises(DomainError, match="has probability below 1e-300"):
             collapse(apply_pulse(state, 0.0, 0.5), 5)
-        with pytest.raises(ConditioningError):
+        with pytest.raises(DomainError, match="has probability below 1e-300"):
             collapse(apply_pulse(state, 1.0, 0.0), 1)  # nothing is ever detected
 
     def test_overflowing_dephasing_is_a_domain_error(self):
@@ -278,7 +301,7 @@ class TestTrajectory:
         )
 
     def test_forced_impossible_outcome_rejected(self):
-        with pytest.raises(ConditioningError):
+        with pytest.raises(DomainError, match="has probability below 1e-300"):
             run_trajectory(
                 initial_coherent_spin_state(4),
                 [PulseSpec(c=0.0, force_n=3)],
@@ -286,17 +309,17 @@ class TestTrajectory:
             )
 
     @pytest.mark.parametrize(
-        "pulses,error,message",
+        "pulses,message",
         [
-            ([PulseSpec(c=1.0), PulseSpec(c=0.0, force_n=3)], ConditioningError, "pulse 1: outcome n_m=3"),
-            ([PulseSpec(c=1.0), PulseSpec(c=1e200)], DomainError, "pulse 1: pulse strength"),
-            ([PulseSpec(c=1.0), PulseSpec(c=1e10)], DomainError, "pulse 1: cannot sample a count"),
-            ([PulseSpec(c=1.0), PulseSpec(c=1.0, force_n=10**400)], DomainError, "pulse 1: photon count too large"),
+            ([PulseSpec(c=1.0), PulseSpec(c=0.0, force_n=3)], "pulse 1: outcome n_m=3"),
+            ([PulseSpec(c=1.0), PulseSpec(c=1e200)], "pulse 1: pulse strength"),
+            ([PulseSpec(c=1.0), PulseSpec(c=1e10)], "pulse 1: cannot sample a count"),
+            ([PulseSpec(c=1.0), PulseSpec(c=1.0, force_n=10**400)], "pulse 1: photon count too large"),
         ],
         ids=["conditioning", "apply-pulse", "sample-outcome", "count-too-large"],
     )
-    def test_failing_pulse_is_named(self, pulses, error, message):
-        with pytest.raises(error, match=f"^{message}"):
+    def test_failing_pulse_is_named(self, pulses, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
             run_trajectory(initial_coherent_spin_state(20), pulses, seed=2)
 
     def test_states_stay_real_along_an_inefficient_trajectory(self):
@@ -367,12 +390,16 @@ class TestTrajectory:
         np.testing.assert_allclose(dense_rho(first), dense_rho(second), rtol=0, atol=1e-12)
 
     def test_pulse_spec_validation(self):
-        with pytest.raises(DomainError):
-            PulseSpec(c=-1.0)
-        with pytest.raises(DomainError):
-            PulseSpec(c=1.0, mu=2.0)
-        with pytest.raises(DomainError):
-            PulseSpec(c=1.0, force_n=-3)
+        # a PulseSpec holds its values as given; apply_pulse and collapse reject them inside their pulse
+        state = initial_coherent_spin_state(4)
+        for spec, message in [
+            (PulseSpec(c=-1.0), "pulse strength must be >= 0 with (C S)^2 finite, got C = -1.0 at S = 2.0"),
+            (PulseSpec(c=math.nan), "pulse strength must be >= 0 with (C S)^2 finite, got C = nan at S = 2.0"),
+            (PulseSpec(c=1.0, mu=2.0), "detection efficiency must lie in [0,1], got 2.0"),
+            (PulseSpec(c=1.0, force_n=-3), "photon count must be an integer >= 0, got -3"),
+        ]:
+            with pytest.raises(DomainError, match=f"^{re.escape('pulse 1: ' + message)}$"):
+                run_trajectory(state, [PulseSpec(c=1.0), spec], seed=0)
 
 
 class TestRhoXi:

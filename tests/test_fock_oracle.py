@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dickesim.errors import ConditioningError, ConsistencyError, DomainError
+from dickesim.errors import ConsistencyError, DomainError
 from dickesim.fock_oracle import (
     TruncatedJointState,
     min_fock_dim,
@@ -120,7 +120,7 @@ class TestProjection:
 
     def test_impossible_outcome_rejected(self):
         joint = oracle_evolve(initial_coherent_spin_state(4), 0.0)
-        with pytest.raises(ConditioningError):
+        with pytest.raises(DomainError, match="has probability below 1e-300"):
             oracle_project(joint, 3)
 
 
@@ -153,7 +153,7 @@ class TestDetection:
             oracle_detect(joint, 1, 1.5)
         with pytest.raises(DomainError):
             oracle_detect(joint, joint.fock_dim, 0.5)
-        with pytest.raises(ConditioningError):
+        with pytest.raises(DomainError, match="has probability below 1e-300"):
             oracle_sequence(initial_coherent_spin_state(4), [(0.0, 0.5, 2)])
         state = initial_coherent_spin_state(4)
         with pytest.raises(DomainError):

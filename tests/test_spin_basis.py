@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dickesim.errors import ContractViolationError, DomainError
+from dickesim.errors import DomainError
 from dickesim.spin_basis import (
     DickeState,
     binomial_amplitudes,
@@ -70,7 +70,7 @@ class TestSpinQuantum:
 class TestDickeState:
     def test_require_normalized(self):
         state = DickeState(np.array([1.0, 1.0, 1.0]))
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DomainError, match="deviates from 1 by more than"):
             state.require_normalized()
         assert abs(normalized(state).norm_sq - 1.0) < 1e-14
 
@@ -185,7 +185,7 @@ class TestSpinMoments:
 
     def test_unnormalized_rejected(self):
         state = DickeState(np.array([1.0, 1.0, 0.0]))
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DomainError, match="deviates from 1 by more than"):
             spin_moments(state)
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
@@ -260,7 +260,7 @@ class TestBandedMoments:
             assert mom.xi == pytest.approx(want, rel=1e-10)
 
     def test_unnormalized_density_matrix_rejected(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(DomainError, match="deviates from 1 by more than"):
             spin_moments(DickeState(np.ones(3), 1.0))
 
 
