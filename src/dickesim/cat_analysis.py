@@ -12,6 +12,7 @@ import math
 
 from scipy.optimize import bisect
 
+from .detection import _require_count
 from .errors import DomainError
 from .spin_basis import DickeState
 
@@ -26,8 +27,7 @@ def cat_peak_location(c: float, n_m: int) -> float:
     """Continuous lobe position sqrt(n_m)/C; callers may round to the lattice."""
     if c <= 0:
         raise DomainError(f"pulse strength must be > 0, got {c}")
-    if n_m < 0:
-        raise DomainError(f"photon count must be >= 0, got {n_m}")
+    _require_count(n_m)
     return math.sqrt(n_m) / c
 
 

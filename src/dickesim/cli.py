@@ -284,7 +284,7 @@ def squeeze_scan(
     """Scan the squeezing parameter over a grid of pulse strengths."""
     if d_res is None and mu is None:
         raise click.UsageError("choose a model: --d-res (decay), --mu (inefficiency), or both")
-    if c_step <= 0 or c_max < c_min or c_min <= 0:
+    if not (c_step > 0 and c_min > 0 and c_max >= c_min):  # a nan bound fails it too
         raise click.UsageError("need 0 < c-min <= c-max and c-step > 0")
     # np.arange's length, in Python floats: inf or nan fails the test as well
     length = (c_max + 0.5 * c_step - c_min) / c_step
@@ -346,6 +346,9 @@ def run() -> None:
         sys.exit(EXIT_DOMAIN)
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
+        sys.exit(EXIT_DOMAIN)
+    except MemoryError as exc:
+        click.echo(f"error: out of memory: {exc}", err=True)
         sys.exit(EXIT_DOMAIN)
 
 

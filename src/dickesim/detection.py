@@ -41,12 +41,18 @@ __all__ = [
 ]
 
 
-def _kernel_diagonal(joint: JointState, n_m: int) -> tuple[np.ndarray, float, float]:
-    """(k, t, log P(n_m)) with k the kernel diagonal scaled so max rho_MM k_M^2 = 1
-    and t = sum rho_MM k_M^2, the trace of the unnormalised conditioned state."""
+def _require_count(n_m) -> None:
+    """DomainError unless n_m is a photon count: an integer >= 0 of any number
+    type but bool, or an integral float."""
     integral = isinstance(n_m, numbers.Integral) or (isinstance(n_m, float) and n_m.is_integer())
     if isinstance(n_m, bool) or not integral or n_m < 0:
         raise DomainError(f"photon count must be an integer >= 0, got {n_m}")
+
+
+def _kernel_diagonal(joint: JointState, n_m: int) -> tuple[np.ndarray, float, float]:
+    """(k, t, log P(n_m)) with k the kernel diagonal scaled so max rho_MM k_M^2 = 1
+    and t = sum rho_MM k_M^2, the trace of the unnormalised conditioned state."""
+    _require_count(n_m)
     try:
         log_factorial = math.lgamma(n_m + 1)
     except OverflowError:  # n_m above ~2.6e305

@@ -111,17 +111,50 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
 
     P(n) = sum_M rho_MM e^{-lambda_M} lambda_M^n / n!.  Branches +-M share
     lambda_M, so their populations are merged first.  Each merged branch
-    then adds its terms over one window of counts only: outside it,
-    Chernoff bounds put log(rho_MM) + log Poisson(n) below LOG_TERM_FLOOR,
-    so every term left out would round to 0.0 and the windowed sum is the
-    full sum.  Time is O(sum of windows), memory O(n_max + 2S + 1).
+    then adds its terms over one window of counts only.  Outside the window
+    either Chernoff bounds put log(rho_MM) + log Poisson(n) below
+    LOG_TERM_FLOOR, so the term would round to 0.0, or another branch's
+    term at the same n outweighs it by more than e^K, with K = ln J +
+    64 ln 2 over J merged branches.  The terms the second rule leaves out
+    at n sum to less than 2^-64 P(n), below 2^-11 of an ulp of P(n).  Time
+    is O(sum of windows), memory O(n_max + 2S + 1).
 
-    The default n_max is the last count any window reaches, but at least
-    20, capped at (sqrt(mu) C S)^2 + 10 sqrt(mu) C S + 20, which covers the
-    largest branch by 10 sigma: every count it leaves out has P(n) = 0.0
-    exactly, and a law with all its mass at n = 0 keeps the zeros after it.
-    The cap, not the table length, must be finite, and the table length
-    must fit MAX_TABLE_LENGTH.
+    The default n_max is the last count any Chernoff window reaches, but at
+    least 20, capped at (sqrt(mu) C S)^2 + 10 sqrt(mu) C S + 20, which
+    covers the largest branch by 10 sigma: every count it leaves out has
+    P(n) = 0.0 exactly, and a law with all its mass at n = 0 keeps the
+    zeros after it.  The cap, not the table length, must be finite, and
+    the table length must fit MAX_TABLE_LENGTH.
+    """
+    n_max, at_zero, w, lam, first, last = _chernoff_windows(state, n_max)
+    w, lam, first, last = _dominance_cut(w, lam, first, last)
+    n = np.arange(n_max + 1, dtype=float)
+    log_factorial = gammaln(n + 1.0)
+
+    probs = np.zeros(n_max + 1)
+    probs[0] = at_zero
+    buf = np.empty(int((last - first).max(initial=-1)) + 1)
+    branches = zip(w.tolist(), lam.tolist(), np.log(lam).tolist(), first.tolist(), (last + 1).tolist())
+    for wj, lj, log_lj, a, b in branches:
+        # w exp(-lam + n log(lam) - log(n!)), one ufunc at a time in one buffer
+        t = np.multiply(n[a:b], log_lj, out=buf[: b - a])
+        np.subtract(t, lj, out=t)
+        np.subtract(t, log_factorial[a:b], out=t)
+        np.exp(t, out=t)
+        np.multiply(t, wj, out=t)
+        probs[a:b] += t
+    tail = 1.0 - float(probs.sum())
+    return PhotonDistribution(probabilities=probs, tail_mass=tail)
+
+
+def _chernoff_windows(state: JointState, n_max: int | None):
+    """(n_max, at_zero, w, lam, first, last) of the photon law of state.
+
+    at_zero is the merged population of the lambda = 0 branch; w and lam
+    are the merged populations and intensities of the other branches, in
+    increasing lambda, whose Chernoff window [first, last] (whole-number
+    floats) holds a count of the table.  The default n_max is read from
+    these windows.
     """
     trim = n_max is None
     if trim:
@@ -159,18 +192,37 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
         n_max = max(last.max(initial=0.0), 20.0)
         _require_table_length(n_max)
         n_max = int(n_max)
-    first, last = first.astype(np.int64), last.astype(np.int64)
-    log_lam = np.log(lam)
-    n = np.arange(n_max + 1)
-    log_factorial = gammaln(n + 1.0)
+    return n_max, at_zero, w, lam, first, last
 
-    probs = np.zeros(n_max + 1)
-    probs[0] = at_zero
-    for j in range(w.size):
-        a, b = int(first[j]), int(last[j]) + 1
-        probs[a:b] += w[j] * np.exp(-lam[j] + n[a:b] * log_lam[j] - log_factorial[a:b])
-    tail = 1.0 - float(probs.sum())
-    return PhotonDistribution(probabilities=probs, tail_mass=tail)
+
+def _dominance_cut(w: np.ndarray, lam: np.ndarray, first: np.ndarray, last: np.ndarray):
+    """(w, lam, first, last) with each window cut to the counts where no
+    other branch's term outweighs this branch's by more than e^K, as int64,
+    dropping branches whose window empties.
+
+    K = ln J + 64 ln 2 for J branches, so the terms dropped at n sum to less
+    than 2^-64 times the largest term at n.  With A = log w - lam and B =
+    log lam, log t_i(n) - log t_j(n) = (A_i - A_j) + n (B_i - B_j): log n!
+    cancels, so branch j + m outweighs j past one count and j outweighs
+    j + m before another.  Comparing each j with j + m for m = 1, 2, 4, ...
+    takes about log2(J) vectorised steps.
+    """
+    size = w.size
+    k = math.log(max(size, 1)) + 64.0 * math.log(2.0)
+    a, b = np.log(w) - lam, np.log(lam)
+    lo, hi = first.copy(), last.copy()
+    m = 1
+    # lam never falls, so db >= 0; where two lam round to one double, db = 0
+    # gives +-inf (a constant ratio) or nan (a ratio of exactly e^K), and
+    # fmin/fmax ignore the nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while m < size:
+            da, db = a[m:] - a[:-m], b[m:] - b[:-m]
+            hi[:-m] = np.fmin(hi[:-m], np.floor((k - da) / db))
+            lo[m:] = np.fmax(lo[m:], np.ceil((-k - da) / db))
+            m *= 2
+    nonempty = lo <= hi
+    return w[nonempty], lam[nonempty], lo[nonempty].astype(np.int64), hi[nonempty].astype(np.int64)
 
 
 @dataclass(frozen=True)

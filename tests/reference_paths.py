@@ -2,8 +2,8 @@
 
 Dense spin matrices, ladder operators applied to amplitude vectors, the
 dense density matrix of a state and the closed-form dense conditioning
-kernel, the scalar log-binomial amplitude, the term-by-term and the dense
-log-space photon laws, the dense operator-product squeezing parameter, the
+kernel, the scalar log-binomial amplitude, the term-by-term, the dense
+log-space and the Chernoff-window-only photon laws, the dense operator-product squeezing parameter, the
 row-by-row CSV writer and the count-by-count peak finder.  None of this is
 on a library path; the tests compare the library's banded, vectorised,
 log-space and chunked routines against it.
@@ -18,7 +18,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from dickesim.errors import DomainError
-from dickesim.pulse_scattering import MAX_TABLE_LENGTH, DistributionPeak, JointState, PhotonDistribution
+from dickesim.pulse_scattering import (
+    LOG_TERM_FLOOR,
+    MAX_TABLE_LENGTH,
+    DistributionPeak,
+    JointState,
+    PhotonDistribution,
+)
 from dickesim.spin_basis import DickeState
 
 
@@ -187,6 +193,48 @@ def photon_distribution_dense(joint: JointState, n_max: int) -> PhotonDistributi
     """
     n = np.arange(n_max + 1)
     probs = joint.populations() @ np.exp(_log_poisson_matrix(joint.intensities(), n))
+    return PhotonDistribution(probabilities=probs, tail_mass=1.0 - float(probs.sum()))
+
+
+def photon_distribution_chernoff(joint: JointState, n_max: int | None = None) -> PhotonDistribution:
+    """The windowed photon law without the dominance cut, loop and all.
+
+    Each merged +-M branch adds w exp(-lam + n log(lam) - log(n!)) over its
+    whole Chernoff window, where log(w) + log Poisson(n) may reach
+    LOG_TERM_FLOOR; the default n_max is read from the same windows.
+    """
+    trim = n_max is None
+    if trim:
+        c, s = math.sqrt(joint.mu) * joint.c, joint.state.s
+        cap = float(math.ceil(c * c * s * s + 10.0 * c * s + 20.0))
+    else:
+        cap = float(n_max)
+    intensities = joint.intensities()
+    pop = joint.populations()
+    half = pop.size // 2
+    weights = pop[half:].copy()
+    weights[pop.size % 2 :] += pop[:half][::-1]
+    lam = intensities[half:]
+    at_zero = weights[lam == 0.0].sum()
+    g = np.log(weights, out=np.full(lam.shape, -np.inf), where=weights > 0) - LOG_TERM_FLOOR
+    keep = (lam > 0.0) & (g > 0)
+    w, lam, g = weights[keep], lam[keep], g[keep]
+    reach = np.sqrt(2.0 * g) * np.sqrt(lam)
+    first = np.clip(np.ceil(lam - reach), 0, cap + 1)
+    last = np.minimum(np.floor(lam + g / 3.0 + np.hypot(g / 3.0, reach)), cap)
+    nonempty = first <= last
+    w, lam, first, last = w[nonempty], lam[nonempty], first[nonempty], last[nonempty]
+    if trim:
+        n_max = int(max(last.max(initial=0.0), 20.0))
+    first, last = first.astype(np.int64), last.astype(np.int64)
+    log_lam = np.log(lam)
+    n = np.arange(n_max + 1)
+    log_factorial = gammaln(n + 1.0)
+    probs = np.zeros(n_max + 1)
+    probs[0] = at_zero
+    for j in range(w.size):
+        a, b = int(first[j]), int(last[j]) + 1
+        probs[a:b] += w[j] * np.exp(-lam[j] + n[a:b] * log_lam[j] - log_factorial[a:b])
     return PhotonDistribution(probabilities=probs, tail_mass=1.0 - float(probs.sum()))
 
 

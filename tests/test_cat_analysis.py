@@ -30,6 +30,15 @@ class TestPeakLocation:
         with pytest.raises(DomainError):
             cat_peak_location(1.0, -1)
 
+    @pytest.mark.parametrize("n_m", [1.5, True, math.nan, -1], ids=["fraction", "bool", "nan", "negative"])
+    def test_count_rule_is_the_kernel_rule(self, n_m):
+        # the same check and message as collapse: a fraction or a bool is not a count
+        message = f"photon count must be an integer >= 0, got {n_m}"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            cat_peak_location(1.0, n_m)
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            collapse(apply_pulse(initial_coherent_spin_state(4), 1.0), n_m)
+
     def test_matches_lattice_maximum(self):
         joint = apply_pulse(initial_coherent_spin_state(20), 3.0)
         pops = collapse(joint, 30).populations()

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -172,6 +173,23 @@ class TestCollapse:
         out = tmp_path / "o1"
         result = run_cli(["collapse", "-N", "20", "-C", "1", "-n", str(n_m), "--out", str(out)])
         assert_one_line_error(result, 2, "photon count too large")
+        assert not out.exists()
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        # the 100 000 001-entry arrays of N_a = 10^8 cannot fit a 1 GiB address space
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        out = tmp_path / "o1"
+        result = subprocess.run(
+            CLI + ["collapse", "-N", "100000000", "-C", "0.001", "-n", "0", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=dict(ENV, OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=limit_address_space,
+        )
+        assert_one_line_error(result, 2, "error: out of memory: ")
+        assert result.stderr.startswith("error: out of memory: ")
         assert not out.exists()
 
 
@@ -454,6 +472,15 @@ class TestSqueezeScan:
         )
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("bound", ["--c-min", "--c-max", "--c-step"])
+    def test_nan_grid_bound_exits_1(self, tmp_path, bound):
+        # nan fails every comparison, so the grid rule is stated as what must hold
+        grid = {"--c-min": "1", "--c-max": "2", "--c-step": "0.5", bound: "nan"}
+        out = tmp_path / "scan"
+        result = run_cli(["squeeze-scan", "-N", "20", "--mu", "0.8", *sum(grid.items(), ()), "--out", str(out)])
+        assert_one_line_error(result, 1, "need 0 < c-min <= c-max and c-step > 0")
+        assert not out.exists()
+
 
 class TestPhysical:
     @staticmethod
@@ -605,8 +632,9 @@ def test_pulse_value_outside_the_domain_exits_2_alike_in_every_command(tmp_path,
         (ConfigError, 1, "config error: "),
         (ConsistencyError, 3, "internal consistency failure: "),
         (OSError, 2, "I/O error: "),
+        (MemoryError, 2, "error: out of memory: "),
     ],
-    ids=["DomainError", "ConfigError", "ConsistencyError", "OSError"],
+    ids=["DomainError", "ConfigError", "ConsistencyError", "OSError", "MemoryError"],
 )
 def test_each_error_class_has_one_exit_code_and_one_stderr_line(monkeypatch, capsys, error, code, prefix):
     def fail():

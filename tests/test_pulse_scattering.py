@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from scipy.stats import poisson
 
+from dickesim.detection import collapse, sample_outcome
 from dickesim.errors import DomainError
 from dickesim.pulse_scattering import (
     FLOOR_RTOL,
     MAX_TABLE_LENGTH,
     TIE_RTOL,
     PhotonDistribution,
+    _chernoff_windows,
+    _dominance_cut,
     apply_pulse,
     distribution_peaks,
     photon_distribution,
@@ -26,6 +30,7 @@ from closed_forms import photon_moments_closed_form, photon_moments_numeric
 from reference_paths import (
     default_n_max,
     distribution_peaks_loop,
+    photon_distribution_chernoff,
     photon_distribution_dense,
     photon_distribution_direct,
 )
@@ -277,6 +282,74 @@ class TestPhotonDistribution:
         dist = photon_distribution(joint, default_n_max(c, joint.state.s))
         assert np.all(dist.probabilities >= 0.0)
         assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+class TestDominanceCut:
+    # random, sparse and dephased states, the binomial start and a state
+    # collapsed on a sampled count, pulsed again at mu = 1 or mu < 1; the
+    # default n_max, an explicit one and a fraction of the default
+    @given(
+        n_atoms=st.integers(min_value=1, max_value=600),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(["random", "sparse", "binomial", "collapsed"]),
+        log_c=st.floats(min_value=-2.5, max_value=0.7),
+        mu=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        dephasing=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+        n_max=st.one_of(st.none(), st.integers(min_value=0, max_value=3000), st.floats(min_value=0.0, max_value=1.0)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_law_is_byte_identical_to_the_chernoff_windows(self, n_atoms, seed, kind, log_c, mu, dephasing, n_max):
+        rng = np.random.default_rng(seed)
+        c = 10.0**log_c
+        if kind in ("random", "sparse"):
+            a = rng.normal(size=n_atoms + 1)
+            if kind == "sparse":
+                a[rng.permutation(n_atoms + 1)[rng.integers(1, 5) :]] = 0.0
+            state = DickeState(a / np.linalg.norm(a), dephasing)
+        else:
+            state = DickeState(initial_coherent_spin_state(n_atoms).amplitudes, dephasing)
+            if kind == "collapsed":
+                first = apply_pulse(state, c, mu)
+                state = collapse(first, sample_outcome(first, rng))
+        joint = apply_pulse(state, c, mu)
+        want = photon_distribution_chernoff(joint)
+        if isinstance(n_max, float):
+            n_max = int(n_max * want.n_max)
+            want = photon_distribution_chernoff(joint, n_max)
+        elif n_max is not None:
+            want = photon_distribution_chernoff(joint, n_max)
+        got = photon_distribution(joint, n_max)
+        assert got.n_max == want.n_max
+        assert got.probabilities.tobytes() == want.probabilities.tobytes()
+        assert got.tail_mass == want.tail_mass
+
+    @pytest.mark.parametrize("n_atoms,c,mu", [(60, 1.0, 1.0), (61, 0.4, 0.5), (200, 0.2, 1.0)])
+    def test_every_dropped_term_is_outweighed_by_e_to_the_k(self, n_atoms, c, mu):
+        a = np.random.default_rng(n_atoms).normal(size=n_atoms + 1)
+        joint = apply_pulse(DickeState(a / np.linalg.norm(a)), c, mu)
+        n_max, _, w, lam, first, last = _chernoff_windows(joint, None)
+        kept = dict(zip(lam.tolist(), zip(*_dominance_cut(w, lam, first, last)[2:])))
+        n = np.arange(n_max + 1)
+        log_terms = np.log(w)[:, None] - lam[:, None] + n * np.log(lam)[:, None] - gammaln(n + 1.0)
+        k = math.log(w.size) + 64.0 * math.log(2.0)
+        margin = log_terms.max(axis=0) - log_terms
+        dropped = 0
+        for j, lam_j in enumerate(lam.tolist()):
+            lo, hi = kept.get(lam_j, (n_max + 1, n_max))
+            window = np.arange(int(first[j]), int(last[j]) + 1)
+            out = window[(window < lo) | (window > hi)]
+            assert np.all(margin[j, out] > k - 1e-9)
+            assert lo >= first[j] and hi <= last[j]
+            dropped += out.size
+        assert dropped > 0
+
+    def test_cut_keeps_at_most_two_fifths_of_the_chernoff_cells(self):
+        # statistics -N 2000 -C 0.1: 1 830 815 Chernoff cells, 674 952 after the cut
+        joint = apply_pulse(initial_coherent_spin_state(2000), 0.1)
+        _, _, w, lam, first, last = _chernoff_windows(joint, None)
+        chernoff_cells = int((last - first + 1).sum())
+        _, _, first, last = _dominance_cut(w, lam, first, last)
+        assert int((last - first + 1).sum()) <= 0.4 * chernoff_cells
 
 
 class TestDistributionPeaks:
