@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import tempfile
-import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from pathlib import Path
@@ -135,16 +134,7 @@ def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gn
     out_dir = Path(out)
     table = _emit_law(out_dir / "statistics", dist, fmt)
     sidecar = out_dir / "statistics_peaks.json"
-    _write_json(
-        sidecar,
-        {
-            "peaks": [
-                {"n": p.n, "P": p.probability, "half_width": p.half_width}
-                for p in peaks
-            ],
-            "tail_mass": dist.tail_mass,
-        },
-    )
+    _write_json(sidecar, {"peaks": [asdict(p) for p in peaks], "tail_mass": dist.tail_mass})
     outputs = [table, sidecar]
     if gnuplot:
         gp = out_dir / "statistics.gp"
@@ -181,10 +171,14 @@ def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt:
     m_values = state.m_values()
     if n_m > 0 and c > 0:
         m_peak = cat_peak_location(c, n_m)
-        arm = int(round(m_peak))
+        # the lattice point nearest m_peak, at most S; every M is a half-integer at odd N_a
+        if state.n_atoms % 2:
+            arm = min(round(m_peak - 0.5) + 0.5, state.s)
+        else:
+            arm = min(round(m_peak), state.n_atoms // 2)
         summary["peak_locations"] = [-m_peak, m_peak]
         summary["lattice_peaks"] = [-arm, arm]
-        if mu < 1.0 and 0 < arm <= state.n_atoms // 2:
+        if mu < 1.0 and arm > 0:
             try:
                 summary["coherence"] = cat_coherence(collapsed, arm)
             except DomainError:
@@ -243,25 +237,6 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
     _finish(out_dir, "trajectory", {"n_atoms": n_atoms, "pulses": raw, "emit_dists": emit_dists}, seed, outputs)
 
 
-def _scan_models(grid: np.ndarray, n_atoms: int, d_res: float | None, mu: float | None) -> Iterator[tuple]:
-    """Each selected model, decay first: its summary key, its parameter, its xi column (nan where
-    undefined, inf where it overflows), the message if no xi is finite, and its closed-form
-    extras.  Lazily, so that a model whose column fails stops the scan before the next runs."""
-    if d_res is not None:
-        with warnings.catch_warnings():
-            # one regime note per grid point below 1/sqrt(S)
-            warnings.simplefilter("ignore", UserWarning)
-            xi = np.array([squeezing_with_decay(c, n_atoms, d_res) for c in grid])
-        c_opt, xi_min = optimal_strength(n_atoms, d_res)
-        extras = {"closed_form_C_opt": c_opt, "closed_form_xi_min": xi_min}
-        yield "decay", {"d_res": d_res}, xi, "decay-model xi overflows at every strength: e^(C^2 N_a / d_res) is too large", extras
-    if mu is not None:
-        state = initial_coherent_spin_state(n_atoms)
-        xis = [spin_moments(collapse(apply_pulse(state, c, mu), 0)).xi for c in grid]
-        xi = np.array([math.nan if x is None else x for x in xis])
-        yield "inefficiency", {"mu": mu}, xi, "xi is undefined at every strength: no mean spin survives", {}
-
-
 @main.command("squeeze-scan")
 @click.option("--n-atoms", "-N", "n_atoms", type=int, required=True)
 @click.option("--d-res", type=float, default=None, help="Decay model: resonant optical depth.")
@@ -290,19 +265,34 @@ def squeeze_scan(
     length = (c_max + 0.5 * c_step - c_min) / c_step
     if not length <= MAX_TABLE_LENGTH:
         raise DomainError(f"strength grid of {length:.4g} points exceeds the limit of {MAX_TABLE_LENGTH}")
-    grid = np.arange(c_min, c_max + 0.5 * c_step, c_step)
-    if grid.size == 0:
-        raise click.UsageError("empty strength grid")
+    # c_max + c_step/2 can round to c_min, so the one-point grid is not left to np.arange
+    grid = np.array([c_min]) if c_max == c_min else np.arange(c_min, c_max + 0.5 * c_step, c_step)
 
+    # decay first: a model whose column fails stops the scan before the next one runs
+    both = d_res is not None and mu is not None
     columns, series, summary = ["C"], [grid], {"n_atoms": n_atoms}
-    for name, parameter, xi, undefined, extras in _scan_models(grid, n_atoms, d_res, mu):
-        finite = np.isfinite(xi)
-        if not finite.any():
-            raise DomainError(undefined)
-        k = int(np.argmin(np.where(finite, xi, np.inf)))
-        columns.append(f"xi_{name}" if d_res is not None and mu is not None else "xi")
+    if d_res is not None:
+        xi = np.array([squeezing_with_decay(c, n_atoms, d_res) for c in grid])  # inf where it overflows
+        if np.isinf(xi).all():
+            raise DomainError("decay-model xi overflows at every strength: e^(C^2 N_a / d_res) is too large")
+        k = int(np.argmin(xi))
+        c_opt, xi_min = optimal_strength(n_atoms, d_res)
+        columns.append("xi_decay" if both else "xi")
         series.append(xi)
-        summary[name] = {**parameter, "argmin_C": float(grid[k]), "min_xi": float(xi[k]), **extras}
+        summary["decay"] = {
+            "d_res": d_res, "argmin_C": float(grid[k]), "min_xi": float(xi[k]),
+            "closed_form_C_opt": c_opt, "closed_form_xi_min": xi_min,
+        }
+    if mu is not None:
+        state = initial_coherent_spin_state(n_atoms)
+        xis = [spin_moments(collapse(apply_pulse(state, c, mu), 0)).xi for c in grid]
+        xi = np.array([math.nan if x is None else x for x in xis])  # nan where no mean spin survives
+        if np.isnan(xi).all():
+            raise DomainError("xi is undefined at every strength: no mean spin survives")
+        k = int(np.nanargmin(xi))
+        columns.append("xi_inefficiency" if both else "xi")
+        series.append(xi)
+        summary["inefficiency"] = {"mu": mu, "argmin_C": float(grid[k]), "min_xi": float(xi[k])}
     out_dir = Path(out)
     table = _emit_table(out_dir / "squeeze_scan", series, tuple(columns), fmt)
     sidecar = out_dir / "squeeze_scan_summary.json"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,11 +125,13 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class PulseResult:
+    """One pulse's outcome; asdict() of it is its trajectory.jsonl record after the seed."""
+
     pulse_index: int
-    c: float
+    C: float
     mu: float
     n_m: int
-    post_var_sz: float
+    post_var_Sz: float
     post_xi: float | None
 
 
@@ -144,23 +146,8 @@ class TrajectoryRun:
     distributions: tuple[PhotonDistribution, ...] | None = None
 
     def to_jsonl(self) -> str:
-        """One JSON object per pulse; field order fixed:
-        seed, pulse_index, C, mu, n_m, post_var_Sz, post_xi."""
-        return "".join(
-            json.dumps(
-                {
-                    "seed": self.seed,
-                    "pulse_index": p.pulse_index,
-                    "C": p.c,
-                    "mu": p.mu,
-                    "n_m": p.n_m,
-                    "post_var_Sz": p.post_var_sz,
-                    "post_xi": p.post_xi,
-                }
-            )
-            + "\n"
-            for p in self.pulses
-        )
+        """One JSON object per pulse: the seed, then the PulseResult fields in order."""
+        return "".join(json.dumps({"seed": self.seed, **asdict(p)}) + "\n" for p in self.pulses)
 
 
 def run_trajectory(
@@ -193,16 +180,7 @@ def run_trajectory(
             moments = spin_moments(state)
         except DickesimError as exc:
             raise type(exc)(f"pulse {idx}: {exc}") from exc
-        results.append(
-            PulseResult(
-                pulse_index=idx,
-                c=spec.c,
-                mu=spec.mu,
-                n_m=n_m,
-                post_var_sz=moments.var_sz,
-                post_xi=moments.xi,
-            )
-        )
+        results.append(PulseResult(idx, spec.c, spec.mu, n_m, moments.var_sz, moments.xi))
 
     return TrajectoryRun(
         seed=seed,

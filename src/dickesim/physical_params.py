@@ -3,7 +3,8 @@
 The entanglement results are fully dimensionless in (C, mu, N_a, d_res);
 this module owns the SI-unit bookkeeping that produces those numbers, the
 photon-loss bound, every note on a config's regime, and the
-decay-corrected squeezing optimum.
+decay-corrected squeezing with its optimum.  A regime note is data, a
+string in DerivedStrengths.warnings; nothing here raises a Python warning.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -150,18 +150,13 @@ def derive_strengths(config: PhysicalConfig) -> DerivedStrengths:
 def squeezing_with_decay(c: float, n_atoms: int, d_res: float) -> float:
     """Decay-corrected squeezing, sqrt(2) / (sqrt(S) C e^{-C^2 N_a / d_res}).
 
-    Valid in the regime C >> 1/sqrt(S); a warning is emitted outside it.
+    The paper derives it for C >> 1/sqrt(S); it is evaluated as written at every C > 0.
     """
     if c <= 0:
         raise DomainError(f"pulse strength must be > 0, got {c}")
     if n_atoms < 1 or not 0 < d_res < math.inf:
         raise DomainError(f"need n_atoms >= 1 and 0 < d_res < inf, got d_res = {d_res}")
     s = n_atoms / 2.0
-    if c < 1.0 / math.sqrt(s):
-        warnings.warn(
-            f"C = {c:.3g} below 1/sqrt(S) = {1 / math.sqrt(s):.3g}; formula regime strained",
-            stacklevel=2,
-        )
     c = float(c)  # Python floats overflow to inf without a numpy warning
     decay = math.exp(-c * c * n_atoms / d_res)
     if decay == 0.0:  # e^(C^2 N_a / d_res) overflows

@@ -66,14 +66,10 @@ class JointState:
 
 @dataclass(frozen=True)
 class PhotonDistribution:
-    """P(n) for n = 0..n_max plus the truncated tail mass."""
+    """P(n) for n = 0..n_max, a float64 array, plus the truncated tail mass."""
 
     probabilities: np.ndarray = field(repr=False)
     tail_mass: float = 0.0
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        object.__setattr__(self, "probabilities", p)
 
     @property
     def n_max(self) -> int:
@@ -227,10 +223,11 @@ def _dominance_cut(w: np.ndarray, lam: np.ndarray, first: np.ndarray, last: np.n
 
 @dataclass(frozen=True)
 class DistributionPeak:
-    """A local maximum of a tabulated photon distribution."""
+    """A local maximum of a tabulated photon distribution; asdict() of it is
+    its statistics_peaks.json entry."""
 
     n: int
-    probability: float
+    P: float
     half_width: float
 
 
@@ -277,7 +274,7 @@ def distribution_peaks(probs: np.ndarray) -> list[DistributionPeak]:
         else:
             half = r_cross - peak
         peaks.append(
-            DistributionPeak(n=peak, probability=float(p[peak]), half_width=half / math.sqrt(2.0))
+            DistributionPeak(n=peak, P=float(p[peak]), half_width=half / math.sqrt(2.0))
         )
     return peaks
 

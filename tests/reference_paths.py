@@ -304,7 +304,7 @@ def distribution_peaks_loop(
         else:
             half = r_cross - peak
         peaks.append(
-            DistributionPeak(n=peak, probability=float(p[peak]), half_width=half / math.sqrt(2.0))
+            DistributionPeak(n=peak, P=float(p[peak]), half_width=half / math.sqrt(2.0))
         )
         i = j + 1
     return peaks

@@ -3,7 +3,6 @@ simulator at its stated tolerance, exercising the public API the way a user
 reproducing the figures would."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -107,14 +106,12 @@ def test_decay_optimum(n_atoms, d_res):
     assert abs(c_opt - math.sqrt(d_res / (2 * n_atoms))) <= 1e-6 * c_opt
     assert abs(xi_min - 2.0 * math.sqrt(math.e) / math.sqrt(d_res)) <= 1e-9
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = minimize_scalar(
-            lambda c: squeezing_with_decay(c, n_atoms, d_res),
-            bounds=(1e-9, 10.0 * c_opt),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
+    result = minimize_scalar(
+        lambda c: squeezing_with_decay(c, n_atoms, d_res),
+        bounds=(1e-9, 10.0 * c_opt),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
     assert abs(result.x - c_opt) <= 1e-6 * c_opt
 
 

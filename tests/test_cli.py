@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dickesim
-from dickesim import cli
+from dickesim import (
+    PulseSpec,
+    apply_pulse,
+    cli,
+    distribution_peaks,
+    initial_coherent_spin_state,
+    photon_distribution,
+    run_trajectory,
+)
 from dickesim.errors import ConfigError, ConsistencyError, DomainError
 
 from reference_paths import csv_rows
@@ -63,6 +72,13 @@ class TestStatistics:
         assert manifest["command"] == "statistics"
         assert manifest["parameters"]["n_atoms"] == 20
         assert "tool_version" in manifest and "timestamp" in manifest
+
+    def test_peaks_are_asdict_of_distribution_peaks(self, tmp_path):
+        assert run_cli(["statistics", "-N", "20", "-C", "3", "--out", str(tmp_path)]).returncode == 0
+        law = photon_distribution(apply_pulse(initial_coherent_spin_state(20), 3.0))
+        peaks = json.loads((tmp_path / "statistics_peaks.json").read_text())["peaks"]
+        assert peaks == [asdict(p) for p in distribution_peaks(law.probabilities)]
+        assert len(peaks) == 11
 
     def test_json_format(self, tmp_path):
         result = run_cli(
@@ -150,6 +166,30 @@ class TestCollapse:
         expected = math.exp(-2.0 * 0.1 * 9.0 * 4.0)
         assert summary["coherence"] == pytest.approx(expected, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "n_atoms,c,n_m,mu,arm",
+        [
+            ("20", "0.01", "1", "0.9", 10),  # lobe at M = 100, beyond S = 10
+            ("21", "3", "36", "1", 2.5),  # lobe at M = 2: odd N_a puts every M on a half-integer
+            ("21", "3", "30", "1", 1.5),
+            ("20", "3", "30", "1", 2),
+        ],
+    )
+    def test_lattice_peaks_lie_on_the_lattice(self, tmp_path, n_atoms, c, n_m, mu, arm):
+        result = run_cli(["collapse", "-N", n_atoms, "-C", c, "-n", n_m, "--mu", mu, "--out", str(tmp_path)])
+        assert result.returncode == 0
+        summary = json.loads((tmp_path / "collapse_summary.json").read_text())
+        assert summary["lattice_peaks"] == [-arm, arm]
+        _, rows = read_csv(tmp_path / "collapse.csv")
+        assert {-arm, arm} <= {float(m) for m, _ in rows}
+
+    def test_lossy_collapse_beyond_the_lattice_reports_coherence_at_the_edge(self, tmp_path):
+        result = run_cli(["collapse", "-N", "20", "-C", "0.01", "-n", "1", "--mu", "0.9", "--out", str(tmp_path)])
+        assert result.returncode == 0
+        summary = json.loads((tmp_path / "collapse_summary.json").read_text())
+        # e^(-2 Gamma S^2) with Gamma = (1 - mu) C^2
+        assert summary["coherence"] == pytest.approx(math.exp(-2.0 * 0.1 * 1e-4 * 100.0), rel=1e-9)
+
     def test_impossible_outcome_exits_2(self, tmp_path):
         result = run_cli(
             ["collapse", "-N", "4", "-C", "0", "-n", "5", "--out", str(tmp_path)]
@@ -210,6 +250,14 @@ class TestTrajectory:
         assert (out1 / "trajectory.jsonl").read_bytes() == (
             out2 / "trajectory.jsonl"
         ).read_bytes()
+
+    def test_jsonl_lines_are_asdict_of_the_pulse_results(self, tmp_path):
+        pulses = '[{"C": 0.3, "mu": 0.8}, {"C": 0.2, "force_n": 1}, {"C": 0.1, "mu": 0}]'
+        assert run_cli(["trajectory", "-N", "200", "--pulses", pulses, "--seed", "3", "--out", str(tmp_path)]).returncode == 0
+        specs = [PulseSpec(0.3, 0.8), PulseSpec(0.2, force_n=1), PulseSpec(0.1, 0.0)]
+        run = run_trajectory(initial_coherent_spin_state(200), specs, seed=3)
+        lines = (tmp_path / "trajectory.jsonl").read_text().splitlines()
+        assert lines == [json.dumps({"seed": 3, **asdict(p)}) for p in run.pulses]
 
     def test_forced_sequence_emits_distributions(self, tmp_path):
         result = run_cli(
@@ -406,6 +454,25 @@ class TestSqueezeScan:
         assert "Traceback" not in result.stderr
         assert "overflows at every strength" in result.stderr
         assert not out.exists()
+
+    def test_decay_model_fails_before_the_inefficiency_model_runs(self, tmp_path):
+        # both columns fail here; the decay column comes first, so its message is the one given
+        out = tmp_path / "scan"
+        result = run_cli(
+            ["squeeze-scan", "-N", "2", "--d-res", "0.1", "--mu", "0.5", "--c-min", "10", "--c-max", "10", "--c-step", "1", "--out", str(out)]
+        )
+        assert_one_line_error(result, 2, "decay-model xi overflows at every strength")
+        assert not out.exists()
+
+    def test_one_point_grid_with_a_step_below_its_ulp(self, tmp_path):
+        # c-max + c-step/2 rounds to c-min, where np.arange gives an empty grid
+        result = run_cli(
+            ["squeeze-scan", "-N", "20", "--mu", "0.5", "--c-min", "1", "--c-max", "1", "--c-step", "1e-17", "--out", str(tmp_path)]
+        )
+        assert result.returncode == 0, result.stderr
+        header, rows = read_csv(tmp_path / "squeeze_scan.csv")
+        assert header == ["C", "xi"]
+        assert [float(c) for c, _ in rows] == [1.0]
 
     def test_decay_xi_overflowing_at_some_strengths_is_null_in_json(self, tmp_path):
         # grid C = 1, 51, 101: e^(C^2 N_a / d_res) overflows only at C = 101

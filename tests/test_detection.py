@@ -255,7 +255,7 @@ class TestTrajectory:
             seed=1,
         )
         assert [p.n_m for p in run.pulses] == [30, 36]
-        assert run.pulses[0].post_var_sz == pytest.approx(4.0, abs=1e-3)
+        assert run.pulses[0].post_var_Sz == pytest.approx(4.0, abs=1e-3)
 
     def test_jsonl_field_order_and_replay(self):
         pulses = [PulseSpec(c=2.0), PulseSpec(c=1.0)]
@@ -279,7 +279,7 @@ class TestTrajectory:
         )
         assert run.final_state.dephasing == pytest.approx(0.2, rel=1e-12)
         assert run.final_state.norm_sq == pytest.approx(1.0, abs=1e-9)
-        assert run.pulses[1].post_var_sz < run.pulses[0].post_var_sz
+        assert run.pulses[1].post_var_Sz < run.pulses[0].post_var_Sz
 
     def test_mixed_path_agrees_with_pure_path_at_near_full_efficiency(self):
         # an almost-perfect first detection must leave the second pulse's
@@ -296,8 +296,8 @@ class TestTrajectory:
             seed=0,
         )
         assert mixed.final_state.dephasing > 0.0
-        assert mixed.pulses[1].post_var_sz == pytest.approx(
-            pure.pulses[1].post_var_sz, rel=1e-6
+        assert mixed.pulses[1].post_var_Sz == pytest.approx(
+            pure.pulses[1].post_var_Sz, rel=1e-6
         )
 
     def test_forced_impossible_outcome_rejected(self):

@@ -212,9 +212,10 @@ class TestSqueezingWithDecay:
     def test_deeper_medium_squeezes_harder(self):
         assert squeezing_with_decay(0.5, 200, 200.0) < squeezing_with_decay(0.5, 200, 100.0)
 
-    def test_warns_below_regime(self):
-        with pytest.warns(UserWarning):
-            squeezing_with_decay(0.01, 200, 100.0)
+    def test_closed_form_below_regime(self):
+        # C = 0.01 < 1/sqrt(S) = 0.1: evaluated as written, and the suite fails on any warning
+        expected = math.sqrt(2.0) / (10.0 * 0.01 * math.exp(-0.01**2 * 200 / 100.0))
+        assert squeezing_with_decay(0.01, 200, 100.0) == pytest.approx(expected, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
