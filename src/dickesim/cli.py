@@ -3,7 +3,7 @@
 Commands emit data files (never images); every invocation writes a
 RunManifest JSON next to its outputs so the run can be reproduced
 bit-exactly on the same platform.  Exit codes: 0 success, 1 an unreadable
-command line or config, 2 a domain error, 3 internal consistency failure.
+command line, else the exit_code of the dickesim.errors class raised.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .cat_analysis import cat_coherence, cat_peak_location
 from .detection import PulseSpec, collapse, run_trajectory
-from .errors import ConfigError, ConsistencyError, DickesimError, DomainError
+from .errors import DickesimError, DomainError
 from .physical_params import PhysicalConfig, derive_strengths, optimal_strength, squeezing_with_decay
 from .pulse_scattering import (
     MAX_TABLE_LENGTH,
@@ -34,10 +34,6 @@ from .pulse_scattering import (
     photon_distribution,
 )
 from .spin_basis import initial_coherent_spin_state, spin_moments
-
-EXIT_DOMAIN = 2
-EXIT_CONSISTENCY = 3
-
 
 # rows formatted per write: bounds the memory of a table, not a setting
 TABLE_CHUNK_ROWS = 2**16
@@ -317,29 +313,20 @@ def run() -> None:
     """Entry point wrapper mapping library errors to the exit-code contract."""
     try:
         main.main(standalone_mode=False)
-    except click.UsageError as exc:
+    except click.UsageError as exc:  # every click error a command here can raise
         click.echo(f"error: {exc.format_message()}", err=True)
         sys.exit(1)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code)
     except click.exceptions.Abort:
         sys.exit(1)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(1)
-    except ConsistencyError as exc:
-        click.echo(f"internal consistency failure: {exc}", err=True)
-        sys.exit(EXIT_CONSISTENCY)
     except DickesimError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN)
+        click.echo(f"{exc.label}: {exc}", err=True)
+        sys.exit(exc.exit_code)
     except OSError as exc:
         click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN)
+        sys.exit(DomainError.exit_code)
     except MemoryError as exc:
         click.echo(f"error: out of memory: {exc}", err=True)
-        sys.exit(EXIT_DOMAIN)
+        sys.exit(DomainError.exit_code)
 
 
 if __name__ == "__main__":

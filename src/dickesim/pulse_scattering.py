@@ -66,14 +66,17 @@ class JointState:
 
 @dataclass(frozen=True)
 class PhotonDistribution:
-    """P(n) for n = 0..n_max, a float64 array, plus the truncated tail mass."""
+    """P(n) for n = 0..n_max, a float64 array; n_max and the tail mass are read from it."""
 
     probabilities: np.ndarray = field(repr=False)
-    tail_mass: float = 0.0
 
     @property
     def n_max(self) -> int:
         return self.probabilities.size - 1
+
+    @property
+    def tail_mass(self) -> float:
+        return 1.0 - float(self.probabilities.sum())
 
 
 def apply_pulse(state: DickeState, strength: float, mu: float = 1.0) -> JointState:
@@ -117,10 +120,11 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
 
     The default n_max is the last count any Chernoff window reaches, but at
     least 20, capped at (sqrt(mu) C S)^2 + 10 sqrt(mu) C S + 20, which
-    covers the largest branch by 10 sigma: every count it leaves out has
-    P(n) = 0.0 exactly, and a law with all its mass at n = 0 keeps the
-    zeros after it.  The cap, not the table length, must be finite, and
-    the table length must fit MAX_TABLE_LENGTH.
+    covers the largest branch by 10 sigma.  Below the cap every count left
+    out has P(n) = 0.0; past lambda + 10 sqrt(lambda) + 20 a Poisson law
+    keeps at most 7.5e-24 of its mass for lambda in [1e-3, 1e7], far below
+    the 2.2e-16 tail_mass resolves.  A law with all its mass at n = 0 keeps
+    its zeros.  The cap must be finite; the table must fit MAX_TABLE_LENGTH.
     """
     n_max, at_zero, w, lam, first, last = _chernoff_windows(state, n_max)
     w, lam, first, last = _dominance_cut(w, lam, first, last)
@@ -139,8 +143,7 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
         np.exp(t, out=t)
         np.multiply(t, wj, out=t)
         probs[a:b] += t
-    tail = 1.0 - float(probs.sum())
-    return PhotonDistribution(probabilities=probs, tail_mass=tail)
+    return PhotonDistribution(probs)
 
 
 def _chernoff_windows(state: JointState, n_max: int | None):

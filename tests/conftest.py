@@ -1,8 +1,38 @@
+import io
 import math
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 
+from dickesim import cli
 from dickesim.physical_params import PhysicalConfig
+
+
+def run_cli(args, cwd=None) -> subprocess.CompletedProcess:
+    """`dickesim ARGS` run in this process, reported as a subprocess would be.
+
+    cli.run() reads args as sys.argv[1:], from cwd if given, with stdout and
+    stderr captured; the SystemExit it raises becomes the return code.  A
+    warning raises here (filterwarnings = "error"), which is stricter than
+    the stray stderr line a subprocess would print.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    returncode = 0
+    previous = os.getcwd()  # contextlib.chdir needs Python 3.11
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with mock.patch.object(sys, "argv", ["dickesim", *args]), redirect_stdout(stdout), redirect_stderr(stderr):
+            cli.run()
+    except SystemExit as exc:
+        returncode = 0 if exc.code is None else exc.code
+    finally:
+        os.chdir(previous)
+    return subprocess.CompletedProcess(["dickesim", *args], returncode, stdout.getvalue(), stderr.getvalue())
 
 
 def consistent_config(

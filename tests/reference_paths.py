@@ -168,7 +168,7 @@ def photon_distribution_direct(joint: JointState, n_max: int) -> PhotonDistribut
         for n in range(1, n_max + 1):
             term *= lam / n
             probs[n] += w * term
-    return PhotonDistribution(probabilities=probs, tail_mass=1.0 - probs.sum())
+    return PhotonDistribution(probs)
 
 
 def _log_poisson_matrix(intensities: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -193,7 +193,7 @@ def photon_distribution_dense(joint: JointState, n_max: int) -> PhotonDistributi
     """
     n = np.arange(n_max + 1)
     probs = joint.populations() @ np.exp(_log_poisson_matrix(joint.intensities(), n))
-    return PhotonDistribution(probabilities=probs, tail_mass=1.0 - float(probs.sum()))
+    return PhotonDistribution(probs)
 
 
 def photon_distribution_chernoff(joint: JointState, n_max: int | None = None) -> PhotonDistribution:
@@ -235,7 +235,7 @@ def photon_distribution_chernoff(joint: JointState, n_max: int | None = None) ->
     for j in range(w.size):
         a, b = int(first[j]), int(last[j]) + 1
         probs[a:b] += w[j] * np.exp(-lam[j] + n[a:b] * log_lam[j] - log_factorial[a:b])
-    return PhotonDistribution(probabilities=probs, tail_mass=1.0 - float(probs.sum()))
+    return PhotonDistribution(probs)
 
 
 def assert_equal_up_to_phase(actual: np.ndarray, expected: np.ndarray, atol: float) -> None:

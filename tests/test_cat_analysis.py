@@ -120,6 +120,15 @@ class TestCatCoherence:
         with pytest.raises(DomainError):
             cat_coherence(odd, 1)
 
+    def test_odd_atom_number_takes_half_integer_arms(self):
+        state = collapse(apply_pulse(initial_coherent_spin_state(21), 3.0, 0.9), 36)
+        pop = state.populations()
+        assert pop[13] == pytest.approx(0.49, abs=0.005) and pop[8] == pytest.approx(0.49, abs=0.005)  # M = +-2.5
+        assert cat_coherence(state, 2.5) == math.exp(-2.0 * state.dephasing * 2.5 * 2.5)
+        for m_arm in (2, 0, 11):
+            with pytest.raises(DomainError, match="not a lattice point"):
+                cat_coherence(state, m_arm)
+
     def test_vanishing_arm_population_rejected(self):
         amps = np.zeros(5)
         amps[2] = 1.0  # all weight at M = 0

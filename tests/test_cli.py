@@ -29,18 +29,13 @@ from dickesim import (
 )
 from dickesim.errors import ConfigError, ConsistencyError, DomainError
 
+from conftest import run_cli
 from reference_paths import csv_rows
 
 CLI = [sys.executable, "-m", "dickesim.cli"]
 # the child interpreter imports the same dickesim as these tests
 SRC = str(Path(dickesim.__file__).resolve().parent.parent)
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-
-
-def run_cli(args, cwd=None):
-    return subprocess.run(
-        CLI + args, capture_output=True, text=True, cwd=cwd, env=ENV
-    )
 
 
 def assert_one_line_error(result, code, message):
@@ -189,6 +184,15 @@ class TestCollapse:
         summary = json.loads((tmp_path / "collapse_summary.json").read_text())
         # e^(-2 Gamma S^2) with Gamma = (1 - mu) C^2
         assert summary["coherence"] == pytest.approx(math.exp(-2.0 * 0.1 * 1e-4 * 100.0), rel=1e-9)
+
+    @pytest.mark.parametrize("n_m,arm,coherence", [("36", 2.5, 1.3007297654067644e-05), ("1", 0.5, 0.6376281516217733)])
+    def test_lossy_collapse_at_odd_atom_number_reports_coherence(self, tmp_path, n_m, arm, coherence):
+        result = run_cli(["collapse", "-N", "21", "-C", "3", "-n", n_m, "--mu", "0.9", "--out", str(tmp_path)])
+        assert result.returncode == 0
+        summary = json.loads((tmp_path / "collapse_summary.json").read_text())
+        assert summary["lattice_peaks"] == [-arm, arm]
+        # e^(-2 Gamma M^2) at the half-integer arm, with Gamma = (1 - mu) C^2
+        assert summary["coherence"] == coherence == pytest.approx(math.exp(-2.0 * 0.9 * arm * arm), rel=1e-12)
 
     def test_impossible_outcome_exits_2(self, tmp_path):
         result = run_cli(
@@ -713,6 +717,26 @@ def test_each_error_class_has_one_exit_code_and_one_stderr_line(monkeypatch, cap
         cli.run()
     assert exit_info.value.code == code
     assert capsys.readouterr() == ("", f"{prefix}it failed\n")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["statistics", "--help"]], ids=["dickesim", "statistics"])
+def test_help_exits_0_with_usage_on_stdout(args):
+    result = run_cli(args)
+    assert result.returncode == 0
+    assert result.stdout.startswith("Usage: ") and "Options:" in result.stdout
+    assert result.stderr == ""
+
+
+def test_module_entry_point_as_a_process(tmp_path):
+    """python -m dickesim.cli: the exit code and streams of a real process."""
+    args = ["collapse", "-N", "4", "-C", "1", "-n", "0", "--out", str(tmp_path / "ok")]
+    ok = subprocess.run(CLI + args, capture_output=True, text=True, env=ENV)
+    assert (ok.returncode, ok.stderr) == (0, "")
+    assert ok.stdout.startswith("wrote ")
+    args = ["collapse", "-N", "4", "-C", "-1", "-n", "0", "--out", str(tmp_path / "bad")]
+    bad = subprocess.run(CLI + args, capture_output=True, text=True, env=ENV)
+    assert_one_line_error(bad, 2, "error: pulse strength must be >= 0")
+    assert bad.stdout == "" and not (tmp_path / "bad").exists()
 
 
 # floats on both sides of repr's switch to exponent notation (1e-4, 1e16),

@@ -149,6 +149,19 @@ class TestPhotonDistribution:
         assert PhotonDistribution(np.array([0.5, 0.3, 0.2])).n_max == 2
         assert photon_distribution(apply_pulse(initial_coherent_spin_state(4), 1.0), 7).n_max == 7
 
+    def test_tail_mass_is_read_from_the_table(self):
+        assert PhotonDistribution(np.array([0.5, 0.3])).tail_mass == pytest.approx(0.2, abs=1e-15)
+
+    @pytest.mark.parametrize("n_atoms", [2, 4, 20])
+    @pytest.mark.parametrize("c", [0.1, 1.0, 3.0, 10.0])
+    def test_default_table_leaves_out_less_than_1e_23(self, n_atoms, c):
+        # edge-weighted binomial states put their largest branch near the cap
+        joint = apply_pulse(initial_coherent_spin_state(n_atoms), c)
+        default = photon_distribution(joint)
+        longer = photon_distribution(joint, 2 * default.n_max + 100)
+        assert longer.probabilities[: default.n_max + 1].tolist() == default.probabilities.tolist()
+        assert longer.probabilities[default.n_max + 1 :].sum() < 1e-23
+
     def test_table_longer_than_the_limit_rejected(self):
         joint = apply_pulse(initial_coherent_spin_state(4), 1.0)
         with pytest.raises(DomainError):

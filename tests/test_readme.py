@@ -13,7 +13,7 @@ import pytest
 
 import dickesim
 
-from conftest import consistent_config
+from conftest import consistent_config, run_cli
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 SRC = str(Path(dickesim.__file__).resolve().parent.parent)
@@ -52,9 +52,6 @@ def example_id(command: str) -> str:
 @pytest.mark.parametrize("command", commands(), ids=example_id)
 def test_command_example_runs(tmp_path, command):
     (tmp_path / "config.json").write_text(json.dumps(asdict(consistent_config())))
-    args = shlex.split(command)[1:]
-    result = subprocess.run(
-        [sys.executable, "-m", "dickesim.cli", *args], capture_output=True, text=True, cwd=tmp_path, env=ENV
-    )
+    result = run_cli(shlex.split(command)[1:], cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("wrote ")
