@@ -9,6 +9,7 @@ command line, else the exit_code of the dickesim.errors class raised.
 from __future__ import annotations
 
 import datetime as _dt
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ import click
 import numpy as np
 
 from . import __version__
+from ._repr_rows import repr_rows
 from .cat_analysis import cat_coherence, cat_peak_location
 from .detection import PulseSpec, collapse, run_trajectory
 from .errors import DickesimError, DomainError
@@ -103,8 +105,14 @@ def _emit_table(path_base: Path, columns: list[np.ndarray], header: tuple[str, .
 
 
 def _emit_law(path_base: Path, dist: PhotonDistribution, fmt: str) -> Path:
-    """The (n, P_n) table of a photon-number law."""
-    return _emit_table(path_base, [np.arange(dist.n_max + 1), dist.probabilities], ("n", "P_n"), fmt)
+    """The (n, P_n) table of a photon-number law; as CSV, each chunk's rows come from repr_rows."""
+    probs = dist.probabilities
+    if fmt == "json":
+        return _emit_table(path_base, [np.arange(probs.size), probs], ("n", "P_n"), fmt)
+    path = path_base.with_suffix(".csv")
+    rows = (repr_rows(a, probs[a : a + TABLE_CHUNK_ROWS]) for a in range(0, probs.size, TABLE_CHUNK_ROWS))
+    _write_atomic(path, itertools.chain(["n,P_n\n"], rows))
+    return path
 
 
 @click.group()
@@ -165,7 +173,7 @@ def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt:
         "xi": moments.xi,
     }
     m_values = state.m_values()
-    if n_m > 0 and c > 0:
+    if n_m > 0:
         m_peak = cat_peak_location(c, n_m)
         # the lattice point nearest m_peak, at most S; every M is a half-integer at odd N_a
         if state.n_atoms % 2:

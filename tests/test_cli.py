@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import dickesim
 from dickesim import (
+    PhotonDistribution,
     PulseSpec,
     apply_pulse,
     cli,
@@ -195,10 +196,11 @@ class TestCollapse:
         assert summary["coherence"] == coherence == pytest.approx(math.exp(-2.0 * 0.9 * arm * arm), rel=1e-12)
 
     def test_impossible_outcome_exits_2(self, tmp_path):
-        result = run_cli(
-            ["collapse", "-N", "4", "-C", "0", "-n", "5", "--out", str(tmp_path)]
-        )
-        assert result.returncode == 2
+        # at C = 0 or mu = 0 every lambda_M is 0, so no count n_m > 0 can occur
+        for args in (["-C", "0", "-n", "5"], ["-C", "1", "-n", "3", "--mu", "0"]):
+            result = run_cli(["collapse", "-N", "4", *args, "--out", str(tmp_path)])
+            assert_one_line_error(result, 2, "probability below 1e-300")
+            assert not tmp_path.joinpath("collapse.csv").exists()
 
     def test_overflowing_strength_exits_2(self, tmp_path):
         # (C S)^2 = 1e402 is not a finite double
@@ -778,20 +780,48 @@ class TestTableWriter:
             got = cli._emit_table(Path(tmp) / "table", columns, self.HEADER, "json").read_text()
         assert got == json.dumps(rows, indent=2) + "\n"
 
+    @pytest.mark.parametrize("n_atoms,c", [(20, 3.0), (200, 1.0), (800, 0.2), (2000, 0.1), (200, 0.5), (2000, 0.02)])
+    def test_law_csv_matches_row_by_row_writer(self, tmp_path, n_atoms, c):
+        # the law tables of perfbench's statistics and trajectory --emit-dists commands
+        dist = photon_distribution(apply_pulse(initial_coherent_spin_state(n_atoms), c))
+        path = cli._emit_law(tmp_path / "law", dist, "csv")
+        assert path.read_text() == csv_rows(list(enumerate(dist.probabilities.tolist())), ("n", "P_n"))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_law_csv_across_chunk_boundaries(self, tmp_path, chunk):
+        dist = photon_distribution(apply_pulse(initial_coherent_spin_state(20), 3.0))
+        with mock.patch.object(cli, "TABLE_CHUNK_ROWS", chunk):
+            path = cli._emit_law(tmp_path / "law", dist, "csv")
+        assert path.read_text() == csv_rows(list(enumerate(dist.probabilities.tolist())), ("n", "P_n"))
+
+    @given(st.lists(CELLS, min_size=1, max_size=40), st.integers(min_value=1, max_value=7))
+    @settings(max_examples=200, deadline=None)
+    def test_law_csv_of_any_cells_matches_row_by_row_writer(self, cells, chunk):
+        dist = PhotonDistribution(np.array(cells, dtype=float))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "TABLE_CHUNK_ROWS", chunk):
+            got = cli._emit_law(Path(tmp) / "law", dist, "csv").read_text()
+        assert got == csv_rows(list(enumerate(cells)), ("n", "P_n"))
+
     def test_chunked_writing_memory_is_bounded(self, tmp_path):
         # one list of row tuples plus the whole CSV string peaks at ~64 MB
         # for these 4e5 rows; chunks of TABLE_CHUNK_ROWS keep it near 10 MB
-        # at any length (tracing every allocation makes a longer table slow)
+        # at any length (tracing every allocation makes a longer table slow).
+        # The law's writer is held to the same bound: it forms n per chunk.
         size = 400_000
         columns = [np.arange(size), np.random.default_rng(0).random(size)]
-        tracemalloc.start()
-        try:
-            path = cli._emit_table(tmp_path / "big", columns, ("n", "P_n"), "csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
-        with path.open("rb") as fh:
-            fh.seek(-60, os.SEEK_END)
-            last = fh.read().splitlines()[-1].decode()
-        assert last == f"{size - 1},{float(columns[1][-1])!r}"
+        dist = PhotonDistribution(columns[1])
+        for write in (
+            lambda: cli._emit_table(tmp_path / "big", columns, ("n", "P_n"), "csv"),
+            lambda: cli._emit_law(tmp_path / "law", dist, "csv"),
+        ):
+            tracemalloc.start()
+            try:
+                path = write()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 32 * 2**20
+            with path.open("rb") as fh:
+                fh.seek(-60, os.SEEK_END)
+                last = fh.read().splitlines()[-1].decode()
+            assert last == f"{size - 1},{float(columns[1][-1])!r}"
