@@ -9,7 +9,6 @@ command line, else the exit_code of the dickesim.errors class raised.
 from __future__ import annotations
 
 import datetime as _dt
-import itertools
 import json
 import math
 import os
@@ -30,7 +29,6 @@ from .errors import DickesimError, DomainError
 from .physical_params import PhysicalConfig, derive_strengths, optimal_strength, squeezing_with_decay
 from .pulse_scattering import (
     MAX_TABLE_LENGTH,
-    PhotonDistribution,
     apply_pulse,
     distribution_peaks,
     photon_distribution,
@@ -79,39 +77,40 @@ def _finish(out_dir: Path, command: str, parameters: dict, seed: int | None, out
     click.echo(f"wrote {', '.join(str(p) for p in [*outputs, manifest])}")
 
 
-def _csv_chunks(columns: list[np.ndarray], header: tuple[str, ...]) -> Iterator[str]:
-    """Header line, then rows in chunks; repr(int) == str(int), so every cell is %r.
+def _table_chunks(columns: list[np.ndarray], header: tuple[str, ...], fmt: str) -> Iterator[str]:
+    """A table's head, its rows in chunks of TABLE_CHUNK_ROWS, then its tail.
 
-    Each chunk is one join over its formatted rows, so its string is
-    allocated once at its final size.  One %-format over the whole chunk
-    grows its result by reallocation instead; in a long-lived process that
-    runs many commands (perfbench's) that left ~12 kB of RSS per 801-row table.
+    A header naming one column more than given marks a law: its first column,
+    n, is formed per chunk, and as CSV repr_rows writes each chunk.  Other CSV
+    cells are %r; JSON cells are repr, or null where not finite, the bytes of
+    json.dumps(rows, indent=2).  Each chunk is one join over its rows, so its
+    string is allocated once at its final size; one %-format over the chunk
+    grows it by reallocation, which in a long-lived process that runs many
+    commands (perfbench's) left ~12 kB of RSS per 801-row table.
     """
-    yield ",".join(header) + "\n"
-    row = ",".join(["%r"] * len(columns)) + "\n"
-    for a in range(0, columns[0].size, TABLE_CHUNK_ROWS):
-        yield "".join(map(row.__mod__, zip(*(col[a : a + TABLE_CHUNK_ROWS].tolist() for col in columns))))
+    size, indexed = columns[0].size, len(header) > len(columns)
+    if fmt == "csv":
+        head, row, sep, tail = ",".join(header) + "\n", ",".join(["%r"] * len(header)) + "\n", "", ""
+    else:
+        head, sep, tail = ("[\n", ",\n", "\n]\n") if size else ("[]\n", "", "")
+        row = "  {\n" + ",\n".join(f"    {json.dumps(key)}: %s" for key in header) + "\n  }"
+    yield head
+    for a in range(0, size, TABLE_CHUNK_ROWS):
+        b = min(a + TABLE_CHUNK_ROWS, size)
+        if indexed and fmt == "csv":
+            yield repr_rows(a, columns[0][a:b])
+        else:
+            cells = [col[a:b].tolist() for col in columns]
+            if fmt == "json":
+                cells = [[repr(x) if math.isfinite(x) else "null" for x in col] for col in cells]
+            yield (sep if a else "") + sep.join(map(row.__mod__, zip(*([range(a, b)] if indexed else []), *cells)))
+    yield tail
 
 
 def _emit_table(path_base: Path, columns: list[np.ndarray], header: tuple[str, ...], fmt: str) -> Path:
-    """Write equal-length numpy columns as CSV (in chunks) or JSON (null for a non-finite cell)."""
+    """Write equal-length numpy columns as CSV or JSON: every table goes through here."""
     path = path_base.with_suffix("." + fmt)
-    if fmt == "json":
-        cells = [[x if math.isfinite(x) else None for x in col.tolist()] for col in columns]
-        _write_json(path, [dict(zip(header, row)) for row in zip(*cells)])
-    else:
-        _write_atomic(path, _csv_chunks(columns, header))
-    return path
-
-
-def _emit_law(path_base: Path, dist: PhotonDistribution, fmt: str) -> Path:
-    """The (n, P_n) table of a photon-number law; as CSV, each chunk's rows come from repr_rows."""
-    probs = dist.probabilities
-    if fmt == "json":
-        return _emit_table(path_base, [np.arange(probs.size), probs], ("n", "P_n"), fmt)
-    path = path_base.with_suffix(".csv")
-    rows = (repr_rows(a, probs[a : a + TABLE_CHUNK_ROWS]) for a in range(0, probs.size, TABLE_CHUNK_ROWS))
-    _write_atomic(path, itertools.chain(["n,P_n\n"], rows))
+    _write_atomic(path, _table_chunks(columns, header, fmt))
     return path
 
 
@@ -136,7 +135,7 @@ def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gn
     dist = photon_distribution(joint, n_max)
     peaks = distribution_peaks(dist.probabilities)
     out_dir = Path(out)
-    table = _emit_law(out_dir / "statistics", dist, fmt)
+    table = _emit_table(out_dir / "statistics", [dist.probabilities], ("n", "P_n"), fmt)
     sidecar = out_dir / "statistics_peaks.json"
     _write_json(sidecar, {"peaks": [asdict(p) for p in peaks], "tail_mass": dist.tail_mass})
     outputs = [table, sidecar]
@@ -237,7 +236,7 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
     _write_atomic(jsonl_path, [run.to_jsonl()])
     outputs = [jsonl_path]
     for idx, dist in enumerate(run.distributions or ()):
-        outputs.append(_emit_law(out_dir / f"trajectory_dist_{idx}", dist, "csv"))
+        outputs.append(_emit_table(out_dir / f"trajectory_dist_{idx}", [dist.probabilities], ("n", "P_n"), "csv"))
     _finish(out_dir, "trajectory", {"n_atoms": n_atoms, "pulses": raw, "emit_dists": emit_dists}, seed, outputs)
 
 

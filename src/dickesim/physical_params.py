@@ -80,10 +80,9 @@ class PhysicalConfig:
     @classmethod
     def from_json(cls, source: str | Path) -> "PhysicalConfig":
         """Load from a JSON document with exactly the dataclass field names."""
-        text = Path(source).read_text() if isinstance(source, Path) else source
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        try:  # JSON text is UTF-8 (RFC 8259), whatever the locale's encoding
+            data = json.loads(source.read_text(encoding="utf-8") if isinstance(source, Path) else source)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")

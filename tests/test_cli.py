@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 import dickesim
 from dickesim import (
-    PhotonDistribution,
     PulseSpec,
     apply_pulse,
     cli,
@@ -621,6 +620,15 @@ class TestPhysical:
         assert_one_line_error(result, 1, "config error")
         assert not out.exists()
 
+    def test_config_that_is_not_utf8_exits_1(self, tmp_path):
+        # JSON text is UTF-8; these bytes open with a UTF-16 byte-order mark
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        out = tmp_path / "o1"
+        result = run_cli(["physical", str(path), "--out", str(out)])
+        assert_one_line_error(result, 1, "config error: invalid JSON config: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "name,value",
         [("gamma", math.inf), ("density", math.inf), ("chi_sq_integral", math.inf), ("N_ph", math.inf), ("gamma", math.nan)],
@@ -750,78 +758,97 @@ CELLS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infi
 
 @st.composite
 def tables(draw):
+    """Columns, their header and a chunk size: an int and two float columns, or
+    a law's P_n alone, whose header names its row index n as well."""
     rows = draw(st.integers(min_value=0, max_value=40))
     ints = np.array(draw(st.lists(st.integers(-(2**62), 2**62), min_size=rows, max_size=rows)), dtype=np.int64)
     floats = [np.array(draw(st.lists(CELLS, min_size=rows, max_size=rows)), dtype=float) for _ in range(2)]
-    return [ints, *floats], draw(st.integers(min_value=1, max_value=7))
+    chunk = draw(st.integers(min_value=1, max_value=7))
+    if draw(st.booleans()):
+        return [floats[1]], ("n", "P_n"), chunk
+    return [ints, *floats], ("n", "M", "P_n"), chunk
+
+
+def table_rows(columns, header):
+    """A table's rows as tuples of Python values, with n first in a law's."""
+    cells = [col.tolist() for col in columns]
+    if len(header) > len(columns):
+        cells.insert(0, range(columns[0].size))
+    return list(zip(*cells))
+
+
+def json_rows(rows, header):
+    """json.dumps of a table as a list of row dicts, null for a non-finite float."""
+    finite = [[v if not isinstance(v, float) or math.isfinite(v) else None for v in row] for row in rows]
+    return json.dumps([dict(zip(header, row)) for row in finite], indent=2) + "\n"
+
+
+# the law tables of perfbench's statistics and trajectory --emit-dists commands
+BENCHMARK_LAWS = [(20, 3.0), (200, 1.0), (800, 0.2), (2000, 0.1), (200, 0.5), (2000, 0.02)]
 
 
 class TestTableWriter:
-    HEADER = ("n", "M", "P_n")
-
     @given(tables())
     @settings(max_examples=200, deadline=None)
     def test_csv_matches_row_by_row_writer(self, table):
-        columns, chunk = table
-        rows = [(int(n), float(m), float(p)) for n, m, p in zip(*columns)]
+        columns, header, chunk = table
         with mock.patch.object(cli, "TABLE_CHUNK_ROWS", chunk):
-            got = "".join(cli._csv_chunks(columns, self.HEADER))
-        assert got == csv_rows(rows, self.HEADER)
+            got = "".join(cli._table_chunks(columns, header, "csv"))
+        assert got == csv_rows(table_rows(columns, header), header)
 
     @given(tables())
     @settings(max_examples=200, deadline=None)
     def test_json_matches_json_dumps_with_null_for_non_finite(self, table):
-        columns, _ = table
-        rows = [
-            {k: v if not isinstance(v, float) or math.isfinite(v) else None for k, v in zip(self.HEADER, row)}
-            for row in zip(columns[0].tolist(), columns[1].tolist(), columns[2].tolist())
-        ]
-        with tempfile.TemporaryDirectory() as tmp:
-            got = cli._emit_table(Path(tmp) / "table", columns, self.HEADER, "json").read_text()
-        assert got == json.dumps(rows, indent=2) + "\n"
+        columns, header, chunk = table
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "TABLE_CHUNK_ROWS", chunk):
+            got = cli._emit_table(Path(tmp) / "table", columns, header, "json").read_text()
+        assert got == json_rows(table_rows(columns, header), header)
 
-    @pytest.mark.parametrize("n_atoms,c", [(20, 3.0), (200, 1.0), (800, 0.2), (2000, 0.1), (200, 0.5), (2000, 0.02)])
+    @pytest.mark.parametrize("n_atoms,c", BENCHMARK_LAWS)
     def test_law_csv_matches_row_by_row_writer(self, tmp_path, n_atoms, c):
-        # the law tables of perfbench's statistics and trajectory --emit-dists commands
-        dist = photon_distribution(apply_pulse(initial_coherent_spin_state(n_atoms), c))
-        path = cli._emit_law(tmp_path / "law", dist, "csv")
-        assert path.read_text() == csv_rows(list(enumerate(dist.probabilities.tolist())), ("n", "P_n"))
+        probs = photon_distribution(apply_pulse(initial_coherent_spin_state(n_atoms), c)).probabilities
+        path = cli._emit_table(tmp_path / "law", [probs], ("n", "P_n"), "csv")
+        assert path.read_text() == csv_rows(list(enumerate(probs.tolist())), ("n", "P_n"))
+
+    @pytest.mark.parametrize("n_atoms,c", BENCHMARK_LAWS)
+    def test_law_json_matches_json_dumps(self, tmp_path, n_atoms, c):
+        probs = photon_distribution(apply_pulse(initial_coherent_spin_state(n_atoms), c)).probabilities
+        path = cli._emit_table(tmp_path / "law", [probs], ("n", "P_n"), "json")
+        assert path.read_text() == json_rows(list(enumerate(probs.tolist())), ("n", "P_n"))
 
     @pytest.mark.parametrize("chunk", [1, 7, 1000])
     def test_law_csv_across_chunk_boundaries(self, tmp_path, chunk):
-        dist = photon_distribution(apply_pulse(initial_coherent_spin_state(20), 3.0))
+        probs = photon_distribution(apply_pulse(initial_coherent_spin_state(20), 3.0)).probabilities
         with mock.patch.object(cli, "TABLE_CHUNK_ROWS", chunk):
-            path = cli._emit_law(tmp_path / "law", dist, "csv")
-        assert path.read_text() == csv_rows(list(enumerate(dist.probabilities.tolist())), ("n", "P_n"))
+            path = cli._emit_table(tmp_path / "law", [probs], ("n", "P_n"), "csv")
+        assert path.read_text() == csv_rows(list(enumerate(probs.tolist())), ("n", "P_n"))
 
     @given(st.lists(CELLS, min_size=1, max_size=40), st.integers(min_value=1, max_value=7))
     @settings(max_examples=200, deadline=None)
     def test_law_csv_of_any_cells_matches_row_by_row_writer(self, cells, chunk):
-        dist = PhotonDistribution(np.array(cells, dtype=float))
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "TABLE_CHUNK_ROWS", chunk):
-            got = cli._emit_law(Path(tmp) / "law", dist, "csv").read_text()
+            got = cli._emit_table(Path(tmp) / "law", [np.array(cells, dtype=float)], ("n", "P_n"), "csv").read_text()
         assert got == csv_rows(list(enumerate(cells)), ("n", "P_n"))
 
-    def test_chunked_writing_memory_is_bounded(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chunked_writing_memory_is_bounded(self, tmp_path, fmt):
         # one list of row tuples plus the whole CSV string peaks at ~64 MB
-        # for these 4e5 rows; chunks of TABLE_CHUNK_ROWS keep it near 10 MB
-        # at any length (tracing every allocation makes a longer table slow).
-        # The law's writer is held to the same bound: it forms n per chunk.
+        # for these 4e5 rows, and a list of row dicts plus its JSON ~300 MB;
+        # chunks of TABLE_CHUNK_ROWS keep either near 10-25 MB at any length
+        # (tracing every allocation makes a longer table slow). A law, whose
+        # n the writer forms per chunk, is held to the same bound.
         size = 400_000
-        columns = [np.arange(size), np.random.default_rng(0).random(size)]
-        dist = PhotonDistribution(columns[1])
-        for write in (
-            lambda: cli._emit_table(tmp_path / "big", columns, ("n", "P_n"), "csv"),
-            lambda: cli._emit_law(tmp_path / "law", dist, "csv"),
-        ):
+        probs = np.random.default_rng(0).random(size)
+        last = float(probs[-1])
+        tail = f"{size - 1},{last!r}\n" if fmt == "csv" else f'    "n": {size - 1},\n    "P_n": {last!r}\n  }}\n]\n'
+        for columns in ([np.arange(size), probs], [probs]):
             tracemalloc.start()
             try:
-                path = write()
+                path = cli._emit_table(tmp_path / "big", columns, ("n", "P_n"), fmt)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 32 * 2**20
             with path.open("rb") as fh:
-                fh.seek(-60, os.SEEK_END)
-                last = fh.read().splitlines()[-1].decode()
-            assert last == f"{size - 1},{float(columns[1][-1])!r}"
+                fh.seek(-len(tail), os.SEEK_END)
+                assert fh.read().decode() == tail
