@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from pathlib import Path
@@ -44,7 +43,8 @@ def _write_atomic(path: Path, chunks: Iterable[str]) -> None:
     # inputs are checked and its computation succeeded, so a failed run
     # leaves no directory behind
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # umask applies, as in open(); mkstemp gives 0600
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             for chunk in chunks:
@@ -305,7 +305,7 @@ def squeeze_scan(
 
 
 @main.command()
-@click.argument("config_path", type=click.Path(exists=True))
+@click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", type=click.Path(), default=".", show_default=True)
 def physical(config_path: str, out: str) -> None:
     """Map a laboratory config JSON to the dimensionless model parameters."""

@@ -11,8 +11,9 @@ by the Schur kernel
 and normalising by the trace.  So a state rho_MN = a_M a_N exp[-Gamma
 (M - N)^2 / 2] with real a keeps that form, with a -> k a and Gamma ->
 Gamma + (1 - mu) C^2: k is real, so the amplitudes stay real, and at mu = 1
-a pure state stays pure.  The trace of the conditioned state is
-P(n) n!/mu^n, so the outcome probability and the collapse share one sum.
+a pure state stays pure.  b = k a is formed in log space from log|a_M|, not
+a_M^2, so no amplitude is zeroed by an underflowing square.  The trace of
+the conditioned state is P(n) n!/mu^n: P(n) and the collapse share one pass.
 """
 
 from __future__ import annotations
@@ -49,54 +50,52 @@ def _require_count(n_m) -> None:
         raise DomainError(f"photon count must be an integer >= 0, got {n_m}")
 
 
-def _kernel_diagonal(joint: JointState, n_m: int) -> tuple[np.ndarray, float, float]:
-    """(k, t, log P(n_m)) with k the kernel diagonal scaled so max rho_MM k_M^2 = 1
-    and t = sum rho_MM k_M^2, the trace of the unnormalised conditioned state."""
+def _condition(joint: JointState, n_m: int) -> tuple[np.ndarray, float, float]:
+    """(b, t, log P(n_m)): b = k a scaled so max |b_M| = 1, formed in log space as
+    log|a_M| - lambda_M / 2 + n_m log|C M| (so 0.0 only where a_M or C M is), and
+    t = sum b_M^2, the trace of the unnormalised conditioned state."""
     _require_count(n_m)
     try:
         log_factorial = math.lgamma(n_m + 1)
     except OverflowError:  # n_m above ~2.6e305
         raise DomainError("photon count too large: log(n_m!) exceeds the double range") from None
+    a = joint.state.amplitudes
     cm = joint.c * joint.state.m_values()
-    log_k = -0.5 * joint.intensities()
-    if n_m > 0:
-        with np.errstate(divide="ignore"):
-            log_k = log_k + n_m * np.log(np.abs(cm))
-    pop = joint.populations()
     with np.errstate(divide="ignore"):
-        log_w = np.log(pop, out=np.full(pop.shape, -np.inf), where=pop > 0) + 2.0 * log_k
-    shift = float(np.max(log_w))
+        log_b = np.log(np.abs(a)) - 0.5 * joint.intensities()
+        if n_m > 0:
+            log_b += n_m * np.log(np.abs(cm))
+    shift = float(np.max(log_b))
     if shift == -np.inf:
         return np.zeros_like(cm), 0.0, -math.inf
-    k = np.exp(log_k - 0.5 * shift, out=np.zeros_like(cm), where=pop > 0)
+    b = np.copysign(np.exp(log_b - shift), a)
     if n_m % 2:
-        k *= np.sign(cm)
-    t = float(np.sum(pop * k * k))
-    log_p = shift + math.log(t) - log_factorial
+        b *= np.sign(cm)  # apart from a's sign: a * cm can underflow to 0
+    t = float(np.sum(b * b))
+    log_p = 2.0 * shift + math.log(t) - log_factorial
     if n_m > 0:
         log_p += n_m * math.log(joint.mu) if joint.mu > 0 else -math.inf
-    return k, t, log_p
+    return b, t, log_p
 
 
 def log_outcome_probability(joint: JointState, n_m: int) -> float:
     """log P(n_m) of the detected-count law of the joint state."""
-    return _kernel_diagonal(joint, n_m)[2]
+    return _condition(joint, n_m)[2]
 
 
 def collapse(joint: JointState, n_m: int) -> DickeState:
     """Condition the atoms on n_m detected photons.
 
-    The amplitudes become k * a / sqrt(t) and the dephasing grows by
-    (1 - mu) C^2.  Raises DomainError when P(n_m) < 1e-300.
+    The amplitudes become k a / sqrt(t), formed in log space so that every
+    nonzero one is kept, and the dephasing grows by (1 - mu) C^2.  Raises
+    DomainError when P(n_m) is below 1e-300 or NaN.
     """
-    k, t, log_p = _kernel_diagonal(joint, n_m)
-    if log_p < LOG_PROB_FLOOR:
+    b, t, log_p = _condition(joint, n_m)
+    if not log_p >= LOG_PROB_FLOOR:
         raise DomainError(f"outcome n_m={n_m} has probability below 1e-300")
-    state = joint.state
-    k *= state.amplitudes
-    k *= 1.0 / math.sqrt(t)  # a reciprocal, not a division: keeps seeded outputs bit-stable
-    dephasing = state.dephasing + (1.0 - joint.mu) * joint.c * joint.c
-    return DickeState(k, dephasing)
+    b *= 1.0 / math.sqrt(t)  # a reciprocal, not a division: keeps seeded outputs bit-stable
+    dephasing = joint.state.dephasing + (1.0 - joint.mu) * joint.c * joint.c
+    return DickeState(b, dephasing)
 
 
 def sample_outcome(joint: JointState, rng: np.random.Generator) -> int:

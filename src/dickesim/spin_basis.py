@@ -86,7 +86,7 @@ class DickeState:
         return a[: a.size - k] * a[k:] * math.exp(-0.5 * self.dephasing * k * k)
 
     def require_normalized(self) -> None:
-        if abs(self.norm_sq - 1.0) > NORM_TOL:
+        if not abs(self.norm_sq - 1.0) <= NORM_TOL:  # also rejects a NaN amplitude
             raise DomainError(
                 f"state norm^2 = {self.norm_sq} deviates from 1 by more than {NORM_TOL}"
             )

@@ -620,6 +620,12 @@ class TestPhysical:
         assert_one_line_error(result, 1, "config error")
         assert not out.exists()
 
+    def test_directory_as_config_exits_1(self, tmp_path):
+        out = tmp_path / "o1"
+        result = run_cli(["physical", str(tmp_path), "--out", str(out)])
+        assert_one_line_error(result, 1, "is a directory")
+        assert not out.exists()
+
     def test_config_that_is_not_utf8_exits_1(self, tmp_path):
         # JSON text is UTF-8; these bytes open with a UTF-16 byte-order mark
         path = tmp_path / "config.json"
@@ -781,6 +787,29 @@ def json_rows(rows, header):
     """json.dumps of a table as a list of row dicts, null for a non-finite float."""
     finite = [[v if not isinstance(v, float) or math.isfinite(v) else None for v in row] for row in rows]
     return json.dumps([dict(zip(header, row)) for row in finite], indent=2) + "\n"
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+    def test_files_get_the_mode_open_gives_under_the_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            result = run_cli(["statistics", "-N", "20", "-C", "3", "--out", str(tmp_path)])
+        finally:
+            os.umask(previous)
+        assert result.returncode == 0
+        files = sorted(tmp_path.iterdir())
+        assert [p.name for p in files] == ["statistics.csv", "statistics_manifest.json", "statistics_peaks.json"]
+        assert {oct(p.stat().st_mode & 0o777) for p in files} == {oct(mode)}
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def chunks():
+            yield "n,P_n\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            cli._write_atomic(tmp_path / "statistics.csv", chunks())
+        assert list(tmp_path.iterdir()) == []
 
 
 # the law tables of perfbench's statistics and trajectory --emit-dists commands

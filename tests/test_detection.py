@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from dickesim.detection import (
     sample_outcome,
 )
 from dickesim.errors import DomainError
-from dickesim.pulse_scattering import apply_pulse, photon_distribution
+from dickesim.pulse_scattering import JointState, apply_pulse, photon_distribution
 from dickesim.spin_basis import DickeState, initial_coherent_spin_state, spin_moments
 
 from reference_paths import dense_rho, dense_xi, kernel_collapse_dense, photon_distribution_direct
@@ -137,6 +138,14 @@ class TestCollapsePerfect:
         assert abs(collapsed.norm_sq - 1.0) < 1e-9
         pops = collapsed.populations()
         assert pops[0] + pops[-1] == pytest.approx(1.0, abs=1e-6)  # lobes at M = +-10
+
+    def test_nan_amplitude_rejected(self):
+        # abs(nan - 1) > tol and nan < floor are both False: each check must reject a NaN
+        state = DickeState(np.array([math.nan, 0.6, 0.8]))
+        with pytest.raises(DomainError, match="deviates from 1 by more than"):
+            apply_pulse(state, 1.0)
+        with pytest.raises(DomainError, match="has probability below 1e-300"):
+            collapse(JointState(state, 1.0), 1)
 
     def test_pure_state_stays_pure_only_at_full_efficiency(self):
         state = initial_coherent_spin_state(6)
@@ -400,6 +409,75 @@ class TestTrajectory:
         ]:
             with pytest.raises(DomainError, match=f"^{re.escape('pulse 1: ' + message)}$"):
                 run_trajectory(state, [PulseSpec(c=1.0), spec], seed=0)
+
+
+def merged_reference(amplitudes: np.ndarray, pulses: list[PulseSpec]) -> np.ndarray:
+    """a_M M^(sum n) exp(-sum mu_i C_i^2 M^2 / 2), normalised, at 40 digits:
+    the forced pulses' kernels multiplied out (a constant C^n cancels)."""
+    with mpmath.workdps(40):
+        total_n = sum(p.force_n for p in pulses)
+        rate = mpmath.fsum(mpmath.mpf(p.mu) * mpmath.mpf(p.c) ** 2 for p in pulses) / 2
+        n_atoms = amplitudes.size - 1
+        m = [mpmath.mpf(2 * k - n_atoms) / 2 for k in range(n_atoms + 1)]
+        b = [mpmath.mpf(float(a)) * mk**total_n * mpmath.exp(-rate * mk * mk) for a, mk in zip(amplitudes, m)]
+        norm = mpmath.sqrt(mpmath.fsum(x * x for x in b))
+        return np.array([float(x / norm) for x in b])
+
+
+@st.composite
+def forced_sequences(draw):
+    """N_a, a start dephasing and pulses whose forced counts are probable
+    enough that neither the pulses nor their merged collapse hit the 1e-300 floor."""
+    n_atoms = draw(st.integers(min_value=1, max_value=200_000))
+    sigma = math.sqrt(n_atoms) / 2  # the width of the binomial start in M
+    pulses = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        x = draw(st.floats(min_value=0.01, max_value=3.0))  # C sigma
+        mu = draw(st.floats(min_value=0.05, max_value=1.0))
+        n = draw(st.integers(min_value=0, max_value=3 + math.ceil(4 * x * x)))
+        pulses.append(PulseSpec(c=x / sigma, mu=mu, force_n=n))
+    return n_atoms, draw(st.floats(min_value=0.0, max_value=1.0)), pulses
+
+
+class TestConditioningAccuracy:
+    @pytest.mark.parametrize("n_pulses", [10, 100])
+    def test_trajectory_keeps_every_normal_amplitude(self, n_pulses):
+        # a_M^2 underflows for |a_M| below ~1.5e-162; conditioning through it zeroed such amplitudes
+        state = initial_coherent_spin_state(2000)
+        counts = np.random.default_rng(0).integers(0, 3, size=n_pulses)
+        pulses = [PulseSpec(c=0.01, mu=0.95, force_n=int(n)) for n in counts]
+        got = run_trajectory(state, pulses, seed=0).final_state.amplitudes
+        want = merged_reference(state.amplitudes, pulses)
+        normal = np.abs(want) >= np.finfo(float).tiny
+        assert np.count_nonzero(normal & (got == 0.0)) == 0
+        rel = np.abs(got - want) / np.where(want != 0.0, np.abs(want), 1.0)
+        assert rel[np.abs(want) >= 1e-3 * np.abs(want).max()].max() <= 1e-13
+        assert rel[np.abs(want) >= 1e-300].max() <= 1e-11
+
+    @given(forced_sequences())
+    @settings(max_examples=30, deadline=None)
+    def test_forced_trajectory_is_one_merged_collapse(self, drawn):
+        # the kernels multiply: C^2 = sum C_i^2, mu = sum mu_i C_i^2 / C^2, n = sum n_i
+        n_atoms, dephasing, pulses = drawn
+        state = DickeState(initial_coherent_spin_state(n_atoms).amplitudes, dephasing)
+        final = run_trajectory(state, pulses, seed=0).final_state
+        c2 = math.fsum(p.c * p.c for p in pulses)
+        mu = math.fsum(p.mu * p.c * p.c for p in pulses) / c2
+        total_n = sum(p.force_n for p in pulses)
+        merged = collapse(apply_pulse(state, math.sqrt(c2), min(mu, 1.0)), total_n)
+        # both round the terms of log|b_M| = log|a_M| - sum lambda_M / 2 + sum n log|C M|,
+        # so they differ by a few ulps of the largest term, which grows with sum n
+        visible = np.abs(merged.amplitudes) >= 1e-300
+        m = state.m_values()[visible]
+        terms = -np.log(state.amplitudes[visible])
+        for p in pulses:
+            terms += 0.5 * p.mu * (p.c * m) ** 2 + (p.force_n * np.abs(np.log(np.abs(p.c * m))) if p.force_n else 0.0)
+        rtol = 16 * np.finfo(float).eps * (1.0 + terms.max())
+        np.testing.assert_allclose(final.amplitudes, merged.amplitudes, rtol=rtol, atol=1e-300)
+        gained = math.fsum((1.0 - p.mu) * p.c * p.c for p in pulses)
+        assert final.dephasing == pytest.approx(dephasing + gained, rel=1e-12, abs=1e-300)
+        # 1 - mu of the merged pulse cancels to a few ulps of C^2
+        assert merged.dephasing == pytest.approx(dephasing + gained, rel=1e-12, abs=4 * np.finfo(float).eps * c2)
 
 
 class TestRhoXi:

@@ -74,6 +74,14 @@ class TestDickeState:
             state.require_normalized()
         assert abs(normalized(state).norm_sq - 1.0) < 1e-14
 
+    def test_nan_amplitude_is_not_normalized(self):
+        # abs(nan - 1) > tol is False, so the check must be written as not <= tol
+        state = DickeState(np.array([math.nan, 0.6, 0.8]))
+        with pytest.raises(DomainError, match="deviates from 1 by more than"):
+            state.require_normalized()
+        with pytest.raises(DomainError, match="deviates from 1 by more than"):
+            spin_moments(state)
+
     def test_dephasing_must_be_finite_and_non_negative(self):
         for bad in (-1e-3, math.inf, math.nan):
             with pytest.raises(DomainError):
