@@ -277,7 +277,9 @@ def squeeze_scan(
     if d_res is not None:
         xi = np.array([squeezing_with_decay(c, n_atoms, d_res) for c in grid])  # inf where it overflows
         if np.isinf(xi).all():
-            raise DomainError("decay-model xi overflows at every strength: e^(C^2 N_a / d_res) is too large")
+            raise DomainError(
+                "decay-model xi overflows at every strength: sqrt(2) e^(C^2 N_a / d_res) / (sqrt(S) C) exceeds the double range"
+            )
         k = int(np.argmin(xi))
         c_opt, xi_min = optimal_strength(n_atoms, d_res)
         columns.append("xi_decay" if both else "xi")

@@ -100,7 +100,7 @@ def collapse(joint: JointState, n_m: int) -> DickeState:
 
 def sample_outcome(joint: JointState, rng: np.random.Generator) -> int:
     """Draw a detected count by Born sampling: branch M, then Poisson(lambda_M)."""
-    weights = joint.populations()
+    weights = joint.state.populations()
     weights = weights / weights.sum()
     idx = rng.choice(weights.size, p=weights)
     lam = float(joint.intensities()[idx])
@@ -115,7 +115,7 @@ def sample_outcome(joint: JointState, rng: np.random.Generator) -> int:
 @dataclass(frozen=True)
 class PulseSpec:
     """One pulse in a sequential run: strength, efficiency, optional forced outcome.
-    Its values are checked where they are used, by apply_pulse and collapse."""
+    Its values are checked where they are used, by JointState and collapse."""
 
     c: float
     mu: float = 1.0
@@ -163,7 +163,6 @@ def run_trajectory(
     before its outcome.  A DickesimError in pulse i is raised again as the
     same type with its message prefixed "pulse i: ".
     """
-    initial.require_normalized()
     rng = np.random.default_rng(seed)
     results: list[PulseResult] = []
     dists: list[PhotonDistribution] = []

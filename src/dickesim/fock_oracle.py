@@ -69,9 +69,10 @@ def min_fock_dim(c: float, s: float) -> int:
 
 
 def _checked_fock_dim(state: DickeState, c: float) -> int:
-    """The smallest safe Fock dimension for strength c on a desk-scale state."""
-    if c < 0:
-        raise DomainError(f"pulse strength must be >= 0, got {c}")
+    """The smallest safe Fock dimension for strength c >= 0 with (C S)^2 finite on a desk-scale state."""
+    cs = c * state.s  # Python floats overflow to inf without raising
+    if not (c >= 0 and math.isfinite(cs * cs)):
+        raise DomainError(f"pulse strength must be >= 0 with a finite Fock dimension, got C = {c}")
     if state.s > MAX_ORACLE_S:
         raise DomainError(f"oracle is desk-scale only: S = {state.s} > {MAX_ORACLE_S}")
     return min_fock_dim(c, state.s)
@@ -102,7 +103,6 @@ def oracle_evolve(state: DickeState, c: float) -> TruncatedJointState:
     fock_dim = _checked_fock_dim(state, c)
     if state.dephasing != 0.0:
         raise DomainError("oracle_evolve needs a pure state (dephasing 0)")
-    state.require_normalized()
     return _evolve(state.m_values(), state.amplitudes, c, fock_dim)
 
 

@@ -146,15 +146,23 @@ def derive_strengths(config: PhysicalConfig) -> DerivedStrengths:
     return DerivedStrengths(c, c_spon, d_res, eta, c_bound, c_photon, tuple(notes))
 
 
+def _require_model(n_atoms: int, d_res: float) -> None:
+    """DomainError unless there is at least one atom and 0 < d_res < inf."""
+    if n_atoms < 1:
+        raise DomainError(f"need at least one atom, got {n_atoms}")
+    if not 0 < d_res < math.inf:  # also rejects nan
+        raise DomainError(f"need 0 < d_res < inf, got d_res = {d_res}")
+
+
 def squeezing_with_decay(c: float, n_atoms: int, d_res: float) -> float:
     """Decay-corrected squeezing, sqrt(2) / (sqrt(S) C e^{-C^2 N_a / d_res}).
 
-    The paper derives it for C >> 1/sqrt(S); it is evaluated as written at every C > 0.
+    The paper derives it for C >> 1/sqrt(S); it is evaluated as written at every C > 0, and is inf
+    where e^(C^2 N_a / d_res) overflows or where a subnormal C makes sqrt(2) / (sqrt(S) C) overflow.
     """
     if c <= 0:
         raise DomainError(f"pulse strength must be > 0, got {c}")
-    if n_atoms < 1 or not 0 < d_res < math.inf:
-        raise DomainError(f"need n_atoms >= 1 and 0 < d_res < inf, got d_res = {d_res}")
+    _require_model(n_atoms, d_res)
     s = n_atoms / 2.0
     c = float(c)  # Python floats overflow to inf without a numpy warning
     decay = math.exp(-c * c * n_atoms / d_res)
@@ -165,6 +173,5 @@ def squeezing_with_decay(c: float, n_atoms: int, d_res: float) -> float:
 
 def optimal_strength(n_atoms: int, d_res: float) -> tuple[float, float]:
     """Closed-form optimum: C_opt = sqrt(d_res/(2 N_a)), xi_min = 2 sqrt(e)/sqrt(d_res)."""
-    if n_atoms < 1 or not 0 < d_res < math.inf:
-        raise DomainError(f"need n_atoms >= 1 and 0 < d_res < inf, got d_res = {d_res}")
+    _require_model(n_atoms, d_res)
     return math.sqrt(d_res / (2.0 * n_atoms)), 2.0 * math.sqrt(math.e) / math.sqrt(d_res)

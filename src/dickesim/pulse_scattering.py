@@ -45,19 +45,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JointState:
-    """The atom-field state after a pulse: the atomic state before it, C and mu."""
+    """The atom-field state after a pulse: the atomic state before it, C and mu.
+
+    C >= 0 with (C S)^2 finite, so every lambda_M is finite, and 0 <= mu <= 1; C is stored as a float.
+    """
 
     state: DickeState
     c: float
     mu: float = 1.0
 
+    def __post_init__(self):
+        c = float(self.c)
+        cs = c * self.state.s  # Python floats overflow to inf without a numpy warning
+        if not (c >= 0.0 and math.isfinite(cs * cs)):
+            raise DomainError(f"pulse strength must be >= 0 with (C S)^2 finite, got C = {c} at S = {self.state.s}")
+        if not 0.0 <= self.mu <= 1.0:
+            raise DomainError(f"detection efficiency must lie in [0,1], got {self.mu}")
+        object.__setattr__(self, "c", c)
+
     @property
     def field_alphas(self) -> np.ndarray:
         """Coherent amplitude -iC*M of each branch."""
         return -1j * self.c * self.state.m_values()
-
-    def populations(self) -> np.ndarray:
-        return self.state.populations()
 
     def intensities(self) -> np.ndarray:
         """Mean detected count lambda_M = mu (C M)^2 of each branch."""
@@ -80,21 +89,8 @@ class PhotonDistribution:
 
 
 def apply_pulse(state: DickeState, strength: float, mu: float = 1.0) -> JointState:
-    """Entangle the atoms with the scattered mode, detected at efficiency mu.
-
-    The strength C must be >= 0 with (C S)^2, the largest intensity at
-    mu = 1, finite, so every lambda_M of the joint state is finite.
-    """
-    c = float(strength)
-    cs = c * state.s  # Python floats overflow to inf without a numpy warning
-    if not (c >= 0.0 and math.isfinite(cs * cs)):
-        raise DomainError(
-            f"pulse strength must be >= 0 with (C S)^2 finite, got C = {c} at S = {state.s}"
-        )
-    if not 0.0 <= mu <= 1.0:
-        raise DomainError(f"detection efficiency must lie in [0,1], got {mu}")
-    state.require_normalized()
-    return JointState(state, c, mu)
+    """Entangle the atoms with the scattered mode, detected at efficiency mu; JointState checks C and mu."""
+    return JointState(state, strength, mu)
 
 
 def _require_table_length(n_max: float) -> None:
@@ -169,7 +165,7 @@ def _chernoff_windows(state: JointState, n_max: int | None):
         _require_table_length(n_max)
         cap = float(n_max)
     intensities = state.intensities()
-    pop = state.populations()
+    pop = state.state.populations()
     half = pop.size // 2
     weights = pop[half:].copy()  # M >= 0, merged with -M below
     weights[pop.size % 2 :] += pop[:half][::-1]

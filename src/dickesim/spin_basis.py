@@ -40,6 +40,7 @@ class DickeState:
     Input with a nonzero imaginary part is a DomainError, never dropped;
     input whose imaginary parts are all exactly 0.0 is stored as its real part.
     The size is read from the array: N_a + 1 amplitudes give N_a, S and every M.
+    A norm^2 not within NORM_TOL of 1, NaN included, is a DomainError: every state is normalised.
     """
 
     amplitudes: np.ndarray = field(repr=False)
@@ -58,6 +59,9 @@ class DickeState:
             raise DomainError(f"need at least one atom, got {amps.size - 1}")
         if not math.isfinite(self.dephasing) or self.dephasing < 0.0:
             raise DomainError(f"dephasing must be finite and >= 0, got {self.dephasing}")
+        norm_sq = float(np.sum(amps * amps))
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # also rejects a NaN amplitude
+            raise DomainError(f"state norm^2 = {norm_sq} deviates from 1 by more than {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dephasing", float(self.dephasing))
 
@@ -73,10 +77,6 @@ class DickeState:
         """S_z eigenvalues -S..S as float64, which holds each of them exactly."""
         return (np.arange(self.amplitudes.size) * 2 - self.n_atoms) / 2.0
 
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(self.populations()))
-
     def populations(self) -> np.ndarray:
         return self.amplitudes * self.amplitudes
 
@@ -84,12 +84,6 @@ class DickeState:
         """rho[M, M+k] = a_M a_{M+k} exp(-dephasing k^2 / 2) for M = -S..S-k."""
         a = self.amplitudes
         return a[: a.size - k] * a[k:] * math.exp(-0.5 * self.dephasing * k * k)
-
-    def require_normalized(self) -> None:
-        if not abs(self.norm_sq - 1.0) <= NORM_TOL:  # also rejects a NaN amplitude
-            raise DomainError(
-                f"state norm^2 = {self.norm_sq} deviates from 1 by more than {NORM_TOL}"
-            )
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,6 @@ def spin_moments(state: DickeState) -> SpinMoments:
     u_x), so var_perp = min(C_yy, e^T C e) and xi = sqrt(2S) dS_perp/|<S>|;
     both are None when the mean spin vanishes.
     """
-    state.require_normalized()
     s = state.s
     m = state.m_values()
     pop = state.diagonal(0)

@@ -18,12 +18,13 @@ from dickesim.pulse_scattering import PhotonDistribution
 from dickesim.spin_basis import DickeState
 
 
-def normalized(state: DickeState) -> DickeState:
-    """The state with its amplitudes scaled to unit norm; dephasing kept."""
-    n = np.sqrt(state.norm_sq)
+def normalized(amplitudes, dephasing: float = 0.0) -> DickeState:
+    """The state of the amplitudes scaled to unit norm, with the dephasing given."""
+    amps = np.asarray(amplitudes, dtype=float)
+    n = np.sqrt(np.sum(amps * amps))
     if n == 0.0:
         raise DomainError("cannot normalize the zero vector")
-    return DickeState(state.amplitudes / n, state.dephasing)
+    return DickeState(amps / n, dephasing)
 
 
 def photon_moments_closed_form(n_atoms: int, c: float) -> tuple[float, float]:

@@ -156,7 +156,7 @@ def photon_distribution_direct(joint: JointState, n_max: int) -> PhotonDistribut
     Underflows once e^{-lambda} hits float zero, so it is valid only while
     mu (C S)^2 stays well below ~700.
     """
-    weights = joint.populations()
+    weights = joint.state.populations()
     intensities = joint.mu * np.abs(joint.field_alphas) ** 2
     probs = np.zeros(n_max + 1)
     for w, lam in zip(weights, intensities):
@@ -192,7 +192,7 @@ def photon_distribution_dense(joint: JointState, n_max: int) -> PhotonDistributi
     Valid at any intensity, but its memory grows as d * n_max.
     """
     n = np.arange(n_max + 1)
-    probs = joint.populations() @ np.exp(_log_poisson_matrix(joint.intensities(), n))
+    probs = joint.state.populations() @ np.exp(_log_poisson_matrix(joint.intensities(), n))
     return PhotonDistribution(probs)
 
 
@@ -210,7 +210,7 @@ def photon_distribution_chernoff(joint: JointState, n_max: int | None = None) ->
     else:
         cap = float(n_max)
     intensities = joint.intensities()
-    pop = joint.populations()
+    pop = joint.state.populations()
     half = pop.size // 2
     weights = pop[half:].copy()
     weights[pop.size % 2 :] += pop[:half][::-1]

@@ -518,6 +518,28 @@ class TestSqueezeScan:
         assert_one_line_error(result, 2, "0 < d_res < inf")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "model", [["--d-res", "1"], ["--d-res", "1", "--mu", "0.5"], ["--mu", "0.5"]], ids=["decay", "both", "inefficiency"]
+    )
+    def test_no_atoms_names_the_atom_count_in_every_model(self, tmp_path, model):
+        # d_res = 1 is valid: the message names the atom count, as every other command's does
+        out = tmp_path / "scan"
+        result = run_cli(
+            ["squeeze-scan", "-N", "0", *model, "--c-min", "1", "--c-max", "2", "--c-step", "1", "--out", str(out)]
+        )
+        assert (result.returncode, result.stderr) == (2, "error: need at least one atom, got 0\n")
+        assert not out.exists()
+
+    def test_decay_xi_overflowing_at_a_subnormal_strength_names_the_quotient(self, tmp_path):
+        # e^(C^2 N_a / d_res) is 1.0 at C = 1e-320; sqrt(2) / (sqrt(S) C) is what overflows
+        out = tmp_path / "scan"
+        result = run_cli(
+            ["squeeze-scan", "-N", "2", "--d-res", "1", "--c-min", "1e-320", "--c-max", "1e-320", "--c-step", "1", "--out", str(out)]
+        )
+        expected = "decay-model xi overflows at every strength: sqrt(2) e^(C^2 N_a / d_res) / (sqrt(S) C) exceeds the double range"
+        assert (result.returncode, result.stderr) == (2, f"error: {expected}\n")
+        assert not out.exists()
+
     def test_no_model_exits_1(self, tmp_path):
         result = run_cli(
             ["squeeze-scan", "-N", "20", "--c-min", "1", "--c-max", "2", "--c-step", "0.5", "--out", str(tmp_path)]
@@ -692,7 +714,7 @@ EFFICIENCY = "detection efficiency must lie in [0,1], got {}"
     ids=["C=-1", "C=NaN", "mu=2", "mu=NaN", "count=-1"],
 )
 def test_pulse_value_outside_the_domain_exits_2_alike_in_every_command(tmp_path, pulse, c, mu, n_m, message):
-    """A C, mu or count out of range is one rule, owned by apply_pulse or the
+    """A C, mu or count out of range is one rule, owned by JointState or the
     conditioning kernel: the same exit 2 and message from every command that
     takes it, prefixed with the pulse in trajectory.  statistics takes no mu
     or count, and squeeze-scan's grid reads no C <= 0 or NaN strength."""

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,15 @@ class TestEvolution:
         with pytest.raises(DomainError):
             oracle_evolve(initial_coherent_spin_state(4), -0.5)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflowing"])
+    def test_strength_without_a_finite_fock_dimension_rejected(self, c):
+        # int(ceil(...)) of these raised a bare ValueError or OverflowError
+        message = "^" + re.escape(f"pulse strength must be >= 0 with a finite Fock dimension, got C = {c}") + "$"
+        with pytest.raises(DomainError, match=message):
+            oracle_evolve(initial_coherent_spin_state(4), c)
+        with pytest.raises(DomainError, match=message):
+            oracle_sequence(initial_coherent_spin_state(4), [(c, 1.0, 0)])
+
 
 class TestProjection:
     def test_matches_fast_collapse(self):
@@ -82,7 +92,7 @@ class TestProjection:
         # tilted towards M > 0, every column's largest entry sits at M > 0,
         # where the oracle makes it positive and collapse's (C M)^n is too
         start = initial_coherent_spin_state(8)
-        tilted = normalized(DickeState(start.amplitudes * np.exp(0.4 * start.m_values())))
+        tilted = normalized(start.amplitudes * np.exp(0.4 * start.m_values()))
         joint = oracle_evolve(tilted, c)
         for n_m in range(8):
             brute = oracle_project(joint, n_m)
@@ -109,7 +119,8 @@ class TestProjection:
 
     def test_projection_is_normalized(self):
         joint = oracle_evolve(initial_coherent_spin_state(6), 0.7)
-        assert oracle_project(joint, 2).norm_sq == pytest.approx(1.0, abs=1e-12)
+        pops = oracle_project(joint, 2).populations()
+        assert float(np.sum(pops)) == pytest.approx(1.0, abs=1e-12)
 
     def test_out_of_range_count_rejected(self):
         joint = oracle_evolve(initial_coherent_spin_state(4), 0.5)

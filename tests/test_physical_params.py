@@ -230,6 +230,20 @@ class TestSqueezingWithDecay:
         with pytest.raises(DomainError, match="0 < d_res < inf"):
             optimal_strength(200, d_res)
 
+    def test_atom_count_and_depth_are_separate_rules(self):
+        # each message names the value that broke its rule
+        for call in (lambda: squeezing_with_decay(1.0, 0, 1.0), lambda: optimal_strength(0, 1.0)):
+            with pytest.raises(DomainError, match="^need at least one atom, got 0$"):
+                call()
+        for call in (lambda: squeezing_with_decay(1.0, 2, -1.0), lambda: optimal_strength(2, -1.0)):
+            with pytest.raises(DomainError, match=r"^need 0 < d_res < inf, got d_res = -1.0$"):
+                call()
+
+    def test_subnormal_strength_overflows_the_quotient(self):
+        # e^(C^2 N_a / d_res) = 1.0 at C = 1e-320; sqrt(2) / (sqrt(S) C) is what exceeds the double range
+        assert squeezing_with_decay(1e-320, 2, 1.0) == math.inf
+        assert squeezing_with_decay(1e-300, 2, 1.0) == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+
 
 class TestOptimalStrength:
     @pytest.mark.parametrize(

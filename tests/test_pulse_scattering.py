@@ -14,6 +14,7 @@ from dickesim.pulse_scattering import (
     FLOOR_RTOL,
     MAX_TABLE_LENGTH,
     TIE_RTOL,
+    JointState,
     PhotonDistribution,
     _chernoff_windows,
     _dominance_cut,
@@ -58,7 +59,7 @@ class TestApplyPulse:
         joint = apply_pulse(state, 0.0)
         assert joint.c == 0.0
         np.testing.assert_array_equal(joint.field_alphas, np.zeros(7))
-        np.testing.assert_array_equal(joint.populations(), state.populations())
+        np.testing.assert_array_equal(joint.state.populations(), state.populations())
 
     @pytest.mark.parametrize("c", [-0.1, -math.inf, math.nan, math.inf])
     def test_negative_or_non_finite_strength_rejected(self, c):
@@ -75,7 +76,7 @@ class TestApplyPulse:
 
     def test_two_atom_branches(self):
         joint = apply_pulse(initial_coherent_spin_state(2), 1.0)
-        np.testing.assert_allclose(joint.populations(), [0.25, 0.5, 0.25], atol=1e-14)
+        np.testing.assert_allclose(joint.state.populations(), [0.25, 0.5, 0.25], atol=1e-14)
         np.testing.assert_allclose(joint.field_alphas, [1j, 0.0, -1j], atol=1e-14)
 
     def test_detected_intensities_scale_with_efficiency(self):
@@ -97,9 +98,38 @@ class TestApplyPulse:
         np.testing.assert_allclose(joint.field_alphas, -1j * 0.7 * m, atol=1e-14)
 
     def test_unnormalized_rejected(self):
-        state = DickeState(np.array([1.0, 1.0, 1.0]))
+        # an unnormalised vector never becomes a state, so apply_pulse cannot be handed one
         with pytest.raises(DomainError, match="deviates from 1 by more than"):
-            apply_pulse(state, 1.0)
+            DickeState(np.array([1.0, 1.0, 1.0]))
+
+    def test_builds_the_joint_state_with_c_as_float(self):
+        state = initial_coherent_spin_state(4)
+        joint = apply_pulse(state, 2, 0.5)
+        assert joint == JointState(state, 2, 0.5) == JointState(state, 2.0, 0.5)
+        assert type(joint.c) is float and type(JointState(state, 2).c) is float and joint.state is state
+
+
+class TestJointState:
+    """C and mu are checked by JointState itself, so one built without apply_pulse obeys them too."""
+
+    @pytest.mark.parametrize(
+        "c,mu,message",
+        [
+            (-1.0, 1.0, "pulse strength must be >= 0 with (C S)^2 finite, got C = -1.0 at S = 2.0"),
+            (math.nan, 1.0, "pulse strength must be >= 0 with (C S)^2 finite, got C = nan at S = 2.0"),
+            (1e200, 1.0, "pulse strength must be >= 0 with (C S)^2 finite, got C = 1e+200 at S = 2.0"),
+            (1.0, 2.0, "detection efficiency must lie in [0,1], got 2.0"),
+            (1.0, math.nan, "detection efficiency must lie in [0,1], got nan"),
+            (-1.0, 2.0, "pulse strength must be >= 0 with (C S)^2 finite, got C = -1.0 at S = 2.0"),
+        ],
+        ids=["negative-C", "nan-C", "overflowing-CS", "mu-above-1", "nan-mu", "C-checked-before-mu"],
+    )
+    def test_direct_construction_gives_apply_pulses_message(self, c, mu, message):
+        state = initial_coherent_spin_state(4)
+        for build in (JointState, apply_pulse):
+            with pytest.raises(DomainError) as info:
+                build(state, c, mu)
+            assert str(info.value) == message
 
 
 class TestPhotonDistribution:

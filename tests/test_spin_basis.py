@@ -36,7 +36,7 @@ class TestSpinQuantum:
     """The spin quantum numbers N_a, S and M that a state reads from its amplitudes."""
 
     def test_basic_properties(self):
-        state = DickeState(np.ones(21))
+        state = normalized(np.ones(21))
         assert state.n_atoms == 20
         assert state.s == 10.0
         assert state.amplitudes.size == 21
@@ -44,7 +44,7 @@ class TestSpinQuantum:
         assert m[0] == -10.0 and m[-1] == 10.0 and m[10] == 0.0
 
     def test_half_integer_spin(self):
-        state = DickeState(np.ones(4))
+        state = normalized(np.ones(4))
         assert state.s == 1.5
         assert list(state.m_values()) == [-1.5, -0.5, 0.5, 1.5]
 
@@ -68,37 +68,51 @@ class TestSpinQuantum:
 
 
 class TestDickeState:
-    def test_require_normalized(self):
-        state = DickeState(np.array([1.0, 1.0, 1.0]))
+    def test_unnormalized_vector_rejected_at_construction(self):
+        with pytest.raises(DomainError, match=r"state norm\^2 = 3.0 deviates from 1 by more than 1e-09"):
+            DickeState(np.ones(3))
+        amps = normalized(np.ones(3)).amplitudes
+        assert abs(float(np.sum(amps * amps)) - 1.0) < 1e-14
+
+    def test_norm_within_tolerance_accepted(self):
+        # NORM_TOL = 1e-9 on norm^2: 1 + 5e-10 is a state, 1 + 2e-9 is not
+        base = np.array([0.6, 0.0, 0.8])
+        DickeState(base * math.sqrt(1.0 + 5e-10))
         with pytest.raises(DomainError, match="deviates from 1 by more than"):
-            state.require_normalized()
-        assert abs(normalized(state).norm_sq - 1.0) < 1e-14
+            DickeState(base * math.sqrt(1.0 + 2e-9))
 
     def test_nan_amplitude_is_not_normalized(self):
         # abs(nan - 1) > tol is False, so the check must be written as not <= tol
-        state = DickeState(np.array([math.nan, 0.6, 0.8]))
-        with pytest.raises(DomainError, match="deviates from 1 by more than"):
-            state.require_normalized()
-        with pytest.raises(DomainError, match="deviates from 1 by more than"):
-            spin_moments(state)
+        with pytest.raises(DomainError, match=r"state norm\^2 = nan deviates from 1 by more than"):
+            DickeState(np.array([math.nan, 0.6, 0.8]))
+
+    def test_earlier_checks_run_before_the_norm(self):
+        # every message but the norm's names its own rule, even on a vector far from unit norm
+        for amps, dephasing, message in [
+            (np.array([2.0, 1j]), 0.0, "real"),
+            (np.ones((2, 2)), 0.0, "1-D"),
+            (np.ones(1), 0.0, "need at least one atom"),
+            (np.ones(3), -1.0, "dephasing"),
+        ]:
+            with pytest.raises(DomainError, match=message):
+                DickeState(amps, dephasing)
 
     def test_dephasing_must_be_finite_and_non_negative(self):
         for bad in (-1e-3, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                DickeState(np.ones(3), bad)
+            with pytest.raises(DomainError, match="dephasing"):
+                DickeState(np.ones(3) / math.sqrt(3.0), bad)
 
     def test_diagonals_and_normalization_carry_dephasing(self):
         rng = np.random.default_rng(3)
-        amps = rng.normal(size=7)
-        state = DickeState(amps, 0.7)
+        state = normalized(rng.normal(size=7), 0.7)
         rho = dense_rho(state)
         for k in range(7):
             np.testing.assert_allclose(state.diagonal(k), np.diagonal(rho, k), rtol=1e-13, atol=0)
-        assert normalized(state).dephasing == 0.7
+        assert state.dephasing == 0.7
 
     def test_normalize_zero_vector_rejected(self):
         with pytest.raises(DomainError):
-            normalized(DickeState(np.zeros(3)))
+            normalized(np.zeros(3))
 
     def test_nonzero_imaginary_part_rejected(self):
         amps = np.array([0.6, 0.0, 0.8], dtype=complex)
@@ -155,7 +169,8 @@ class TestInitialState:
 
     @pytest.mark.parametrize("n_atoms", [1, 2, 5, 20, 101])
     def test_normalized(self, n_atoms):
-        assert abs(initial_coherent_spin_state(n_atoms).norm_sq - 1.0) < 1e-12
+        amps = initial_coherent_spin_state(n_atoms).amplitudes
+        assert abs(float(np.sum(amps * amps)) - 1.0) < 1e-12
 
     def test_sx_eigenstate(self):
         state = initial_coherent_spin_state(20)
@@ -191,10 +206,10 @@ class TestSpinMoments:
         sx, sy, sz = spin_matrices(5)
         np.testing.assert_allclose(sx @ sy - sy @ sx, 1j * sz, atol=1e-12)
 
-    def test_unnormalized_rejected(self):
-        state = DickeState(np.array([1.0, 1.0, 0.0]))
+    def test_unnormalized_state_cannot_reach_spin_moments(self):
+        # the norm is checked once, when the state is built, not by each reader
         with pytest.raises(DomainError, match="deviates from 1 by more than"):
-            spin_moments(state)
+            DickeState(np.array([1.0, 1.0, 0.0]))
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -268,8 +283,9 @@ class TestBandedMoments:
             assert mom.xi == pytest.approx(want, rel=1e-10)
 
     def test_unnormalized_density_matrix_rejected(self):
+        # trace rho = sum a_M^2 whatever the dephasing, so the constructor's norm check covers it
         with pytest.raises(DomainError, match="deviates from 1 by more than"):
-            spin_moments(DickeState(np.ones(3), 1.0))
+            DickeState(np.ones(3), 1.0)
 
 
 def test_binomial_amplitudes_match_scalar_form():
