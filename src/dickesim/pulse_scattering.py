@@ -109,10 +109,14 @@ def photon_distribution(state: JointState, n_max: int | None = None) -> PhotonDi
     then adds its terms over one window of counts only.  Outside the window
     either Chernoff bounds put log(rho_MM) + log Poisson(n) below
     LOG_TERM_FLOOR, so the term would round to 0.0, or another branch's
-    term at the same n outweighs it by more than e^K, with K = ln J +
-    64 ln 2 over J merged branches.  The terms the second rule leaves out
-    at n sum to less than 2^-64 P(n), below 2^-11 of an ulp of P(n).  Time
-    is O(sum of windows), memory O(n_max + 2S + 1).
+    term at the same n outweighs it: by more than e^K, K = ln J + 64 ln 2
+    over J merged branches, for a branch of smaller lambda, or by more
+    than e^(K + 24 ln 2) for one of larger lambda.  Summed over whole
+    windows in increasing lambda, a term of the first kind meets a running
+    sum over 2^64 times larger and changes no bit of it.  Terms of the
+    second kind come before the term that outweighs them, so they can tip
+    a rounding; they sum to less than 2^-88 P(n), below 2^-35 of an ulp of
+    P(n).  Time is O(sum of windows), memory O(n_max + 2S + 1).
 
     The default n_max is the last count any Chernoff window reaches, but at
     least 20, capped at (sqrt(mu) C S)^2 + 10 sqrt(mu) C S + 20, which
@@ -192,11 +196,15 @@ def _chernoff_windows(state: JointState, n_max: int | None):
 
 def _dominance_cut(w: np.ndarray, lam: np.ndarray, first: np.ndarray, last: np.ndarray):
     """(w, lam, first, last) with each window cut to the counts where no
-    other branch's term outweighs this branch's by more than e^K, as int64,
+    branch of smaller lambda outweighs this branch's term by more than e^K
+    and none of larger lambda by more than e^(K + 24 ln 2), as int64,
     dropping branches whose window empties.
 
-    K = ln J + 64 ln 2 for J branches, so the terms dropped at n sum to less
-    than 2^-64 times the largest term at n.  With A = log w - lam and B =
+    K = ln J + 64 ln 2 for J branches.  A term dropped for a smaller lambda
+    is below 2^-64 of a term summed before it, so the running sum absorbs
+    it exactly.  The terms dropped for a larger lambda are summed before
+    the term that outweighs them and may tip a rounding; at n they sum to
+    less than 2^-88 times the largest term.  With A = log w - lam and B =
     log lam, log t_i(n) - log t_j(n) = (A_i - A_j) + n (B_i - B_j): log n!
     cancels, so branch j + m outweighs j past one count and j outweighs
     j + m before another.  Comparing each j with j + m for m = 1, 2, 4, ...
@@ -204,6 +212,7 @@ def _dominance_cut(w: np.ndarray, lam: np.ndarray, first: np.ndarray, last: np.n
     """
     size = w.size
     k = math.log(max(size, 1)) + 64.0 * math.log(2.0)
+    k_later = k + 24.0 * math.log(2.0)
     a, b = np.log(w) - lam, np.log(lam)
     lo, hi = first.copy(), last.copy()
     m = 1
@@ -213,7 +222,7 @@ def _dominance_cut(w: np.ndarray, lam: np.ndarray, first: np.ndarray, last: np.n
     with np.errstate(divide="ignore", invalid="ignore"):
         while m < size:
             da, db = a[m:] - a[:-m], b[m:] - b[:-m]
-            hi[:-m] = np.fmin(hi[:-m], np.floor((k - da) / db))
+            hi[:-m] = np.fmin(hi[:-m], np.floor((k_later - da) / db))
             lo[m:] = np.fmax(lo[m:], np.ceil((-k - da) / db))
             m *= 2
     nonempty = lo <= hi

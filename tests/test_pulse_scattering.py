@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 from scipy.stats import poisson
@@ -340,6 +340,8 @@ class TestDominanceCut:
         dephasing=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
         n_max=st.one_of(st.none(), st.integers(min_value=0, max_value=3000), st.floats(min_value=0.0, max_value=1.0)),
     )
+    # terms a larger lambda outweighs by e^K once tipped n = 314 here by 1 ulp
+    @example(n_atoms=416, seed=1_355_449_941, kind="random", log_c=1e-12, mu=1.0, dephasing=0.0, n_max=314)
     @settings(max_examples=150, deadline=None)
     def test_law_is_byte_identical_to_the_chernoff_windows(self, n_atoms, seed, kind, log_c, mu, dephasing, n_max):
         rng = np.random.default_rng(seed)
