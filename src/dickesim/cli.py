@@ -2,12 +2,13 @@
 
 Commands emit data files (never images); every invocation writes a
 RunManifest JSON next to its outputs so the run can be reproduced
-bit-exactly on the same platform.  Exit codes: 0 success, 1 an unreadable
-command line, else the exit_code of the dickesim.errors class raised.
+bit-exactly on the same platform.  Exit codes: 0 success, else the exit_code
+of the dickesim.errors class raised (ConfigError's 1 for a bad command line).
 """
 
 from __future__ import annotations
 
+import argparse
 import datetime as _dt
 import json
 import math
@@ -17,14 +18,13 @@ from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import __version__
 from ._repr_rows import repr_rows
 from .cat_analysis import cat_coherence, cat_peak_location
 from .detection import PulseSpec, collapse, run_trajectory
-from .errors import DickesimError, DomainError
+from .errors import ConfigError, DickesimError, DomainError
 from .physical_params import PhysicalConfig, derive_strengths, optimal_strength, squeezing_with_decay
 from .pulse_scattering import (
     MAX_TABLE_LENGTH,
@@ -74,7 +74,7 @@ def _finish(out_dir: Path, command: str, parameters: dict, seed: int | None, out
             "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         },
     )
-    click.echo(f"wrote {', '.join(str(p) for p in [*outputs, manifest])}")
+    print(f"wrote {', '.join(str(p) for p in [*outputs, manifest])}")
 
 
 def _table_chunks(columns: list[np.ndarray], header: tuple[str, ...], fmt: str) -> Iterator[str]:
@@ -114,27 +114,14 @@ def _emit_table(path_base: Path, columns: list[np.ndarray], header: tuple[str, .
     return path
 
 
-@click.group()
-def main() -> None:
-    """Conditional spin squeezing from single-channel photon counting."""
-
-
-@main.command()
-@click.option("--n-atoms", "-N", "n_atoms", type=int, required=True)
-@click.option("--strength", "-C", "c", type=float, required=True)
-@click.option("--n-max", type=int, default=None, help="Largest tabulated photon number.")
-@click.option("--out", type=click.Path(), default=".", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--gnuplot", is_flag=True, help="Also write a gnuplot script.")
-def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gnuplot: bool) -> None:
+def statistics(n_atoms: int, c: float, n_max: int | None, out_dir: Path, fmt: str, gnuplot: bool) -> None:
     """Tabulate the scattered-photon number distribution and its peaks."""
     if gnuplot and fmt != "csv":
-        raise click.UsageError("--gnuplot needs --format csv")
+        raise ConfigError("--gnuplot needs --format csv")
     state = initial_coherent_spin_state(n_atoms)
     joint = apply_pulse(state, c)
     dist = photon_distribution(joint, n_max)
     peaks = distribution_peaks(dist.probabilities)
-    out_dir = Path(out)
     table = _emit_table(out_dir / "statistics", [dist.probabilities], ("n", "P_n"), fmt)
     sidecar = out_dir / "statistics_peaks.json"
     _write_json(sidecar, {"peaks": [asdict(p) for p in peaks], "tail_mass": dist.tail_mass})
@@ -151,14 +138,7 @@ def statistics(n_atoms: int, c: float, n_max: int | None, out: str, fmt: str, gn
     _finish(out_dir, "statistics", {"n_atoms": n_atoms, "C": c, "n_max": dist.n_max, "format": fmt}, None, outputs)
 
 
-@main.command("collapse")
-@click.option("--n-atoms", "-N", "n_atoms", type=int, required=True)
-@click.option("--strength", "-C", "c", type=float, required=True)
-@click.option("--count", "-n", "n_m", type=int, required=True)
-@click.option("--mu", type=float, default=1.0, show_default=True)
-@click.option("--out", type=click.Path(), default=".", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt: str) -> None:
+def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out_dir: Path, fmt: str) -> None:
     """Collapse the initial state on a photon-count outcome; emit P_a(M)."""
     state = initial_coherent_spin_state(n_atoms)
     collapsed = collapse(apply_pulse(state, c, mu), n_m)
@@ -186,7 +166,6 @@ def collapse_command(n_atoms: int, c: float, n_m: int, mu: float, out: str, fmt:
                 summary["coherence"] = cat_coherence(collapsed, arm)
             except DomainError:
                 summary["coherence"] = None
-    out_dir = Path(out)
     table = _emit_table(out_dir / "collapse", [m_values, collapsed.populations()], ("M", "P_a"), fmt)
     sidecar = out_dir / "collapse_summary.json"
     _write_json(sidecar, summary)
@@ -212,26 +191,21 @@ def _pulse(index: int, item) -> PulseSpec:
     return PulseSpec(float(item["C"]), float(item.get("mu", 1.0)), None if force_n is None else int(force_n))
 
 
-@main.command()
-@click.option("--n-atoms", "-N", "n_atoms", type=int, required=True)
-@click.option("--pulses", "pulses_json", type=str, required=True, help='JSON array of {"C":..,"mu":..,"force_n":..}.')
-@click.option("--seed", type=click.IntRange(min=0), default=None)
-@click.option("--emit-dists", is_flag=True, help="Write per-pulse photon-distribution CSVs.")
-@click.option("--out", type=click.Path(), default=".", show_default=True)
-def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: bool, out: str) -> None:
+def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: bool, out_dir: Path) -> None:
     """Run a sequential-pulse measurement trajectory; emit JSONL records."""
+    if seed is not None and seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     try:
         raw = json.loads(pulses_json)
         if not isinstance(raw, list):
             raise ValueError("pulses must be a JSON array")
         specs = [_pulse(index, item) for index, item in enumerate(raw)]
     except (ValueError, OverflowError) as exc:  # OverflowError: float() of an int beyond the double range
-        raise click.UsageError(f"bad --pulses value: {exc}") from exc
+        raise ConfigError(f"bad --pulses value: {exc}") from exc
     if seed is None:
         seed = int.from_bytes(os.urandom(4), "big")
     state = initial_coherent_spin_state(n_atoms)
     run = run_trajectory(state, specs, seed=seed, collect_distributions=emit_dists)
-    out_dir = Path(out)
     jsonl_path = out_dir / "trajectory.jsonl"
     _write_atomic(jsonl_path, [run.to_jsonl()])
     outputs = [jsonl_path]
@@ -240,30 +214,12 @@ def trajectory(n_atoms: int, pulses_json: str, seed: int | None, emit_dists: boo
     _finish(out_dir, "trajectory", {"n_atoms": n_atoms, "pulses": raw, "emit_dists": emit_dists}, seed, outputs)
 
 
-@main.command("squeeze-scan")
-@click.option("--n-atoms", "-N", "n_atoms", type=int, required=True)
-@click.option("--d-res", type=float, default=None, help="Decay model: resonant optical depth.")
-@click.option("--mu", type=float, default=None, help="Inefficiency model: detection efficiency.")
-@click.option("--c-min", type=float, required=True)
-@click.option("--c-max", type=float, required=True)
-@click.option("--c-step", type=float, required=True)
-@click.option("--out", type=click.Path(), default=".", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def squeeze_scan(
-    n_atoms: int,
-    d_res: float | None,
-    mu: float | None,
-    c_min: float,
-    c_max: float,
-    c_step: float,
-    out: str,
-    fmt: str,
-) -> None:
+def squeeze_scan(n_atoms: int, d_res: float | None, mu: float | None, c_min: float, c_max: float, c_step: float, out_dir: Path, fmt: str) -> None:
     """Scan the squeezing parameter over a grid of pulse strengths."""
     if d_res is None and mu is None:
-        raise click.UsageError("choose a model: --d-res (decay), --mu (inefficiency), or both")
+        raise ConfigError("choose a model: --d-res (decay), --mu (inefficiency), or both")
     if not (c_step > 0 and c_min > 0 and c_max >= c_min):  # a nan bound fails it too
-        raise click.UsageError("need 0 < c-min <= c-max and c-step > 0")
+        raise ConfigError("need 0 < c-min <= c-max and c-step > 0")
     # np.arange's length, in Python floats: inf or nan fails the test as well
     length = (c_max + 0.5 * c_step - c_min) / c_step
     if not length <= MAX_TABLE_LENGTH:
@@ -298,7 +254,6 @@ def squeeze_scan(
         columns.append("xi_inefficiency" if both else "xi")
         series.append(xi)
         summary["inefficiency"] = {"mu": mu, "argmin_C": float(grid[k]), "min_xi": float(xi[k])}
-    out_dir = Path(out)
     table = _emit_table(out_dir / "squeeze_scan", series, tuple(columns), fmt)
     sidecar = out_dir / "squeeze_scan_summary.json"
     _write_json(sidecar, summary)
@@ -306,36 +261,88 @@ def squeeze_scan(
     _finish(out_dir, "squeeze-scan", parameters, None, [table, sidecar])
 
 
-@main.command()
-@click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(), default=".", show_default=True)
-def physical(config_path: str, out: str) -> None:
+def physical(config_path: str, out_dir: Path) -> None:
     """Map a laboratory config JSON to the dimensionless model parameters."""
-    strengths = derive_strengths(PhysicalConfig.from_json(Path(config_path)))
-    out_dir = Path(out)
+    path = Path(config_path)
+    if path.is_dir() or not path.exists():  # reading it would raise OSError, exit 2
+        raise ConfigError(f"config file {path} {'is a directory' if path.exists() else 'does not exist'}")
+    strengths = derive_strengths(PhysicalConfig.from_json(path))
     result = out_dir / "physical.json"
     _write_json(result, asdict(strengths))
     _finish(out_dir, "physical", {"config_path": str(config_path)}, None, [result])
 
 
-def run() -> None:
-    """Entry point wrapper mapping library errors to the exit-code contract."""
-    try:
-        main.main(standalone_mode=False)
-    except click.UsageError as exc:  # every click error a command here can raise
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(1)
-    except click.exceptions.Abort:
-        sys.exit(1)
-    except DickesimError as exc:
-        click.echo(f"{exc.label}: {exc}", err=True)
-        sys.exit(exc.exit_code)
-    except OSError as exc:
-        click.echo(f"I/O error: {exc}", err=True)
-        sys.exit(DomainError.exit_code)
-    except MemoryError as exc:
-        click.echo(f"error: out of memory: {exc}", err=True)
-        sys.exit(DomainError.exit_code)
+class _Parser(argparse.ArgumentParser):
+    """argparse raising ConfigError for a command line it cannot read; a float is never an option."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+    def _parse_optional(self, arg_string: str):
+        try:  # argparse reads -1e200 and -inf as unknown options, and -nan as -n an
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+    def main(self, args: list[str] | None = None, standalone_mode: bool = True) -> None:
+        """Parse args (default sys.argv[1:]) and run their command.  Unless standalone_mode,
+        raise what it raised; else print one stderr line and exit with its class's code."""
+        if not standalone_mode:
+            options = vars(self.parse_args(args))
+            return options.pop("command")(**options)
+        try:
+            return self.main(args, standalone_mode=False)
+        except DickesimError as exc:
+            line, code = f"{exc.label}: {exc}", exc.exit_code
+        except OSError as exc:
+            line, code = f"I/O error: {exc}", DomainError.exit_code
+        except MemoryError as exc:
+            line, code = f"error: out of memory: {exc}", DomainError.exit_code
+        except KeyboardInterrupt:  # Ctrl-C: end the line after ^C, no traceback
+            line, code = "", 1
+        print(line, file=sys.stderr)
+        sys.exit(code)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(prog="dickesim", description="Conditional spin squeezing from single-channel photon counting.", allow_abbrev=False)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+
+    def command(fn, name: str, atoms: bool = True, strength: bool = False, fmt: bool = False) -> _Parser:
+        """fn's parser, with the options it shares with other commands."""
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
+        sub.set_defaults(command=fn)
+        if atoms:
+            sub.add_argument("--n-atoms", "-N", dest="n_atoms", type=int, required=True)
+        if strength:
+            sub.add_argument("--strength", "-C", dest="c", type=float, required=True)
+        sub.add_argument("--out", dest="out_dir", type=Path, default=".", metavar="PATH", help="(default: %(default)s)")
+        if fmt:
+            sub.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+        return sub
+
+    sub = command(statistics, "statistics", strength=True, fmt=True)
+    sub.add_argument("--n-max", type=int, help="Largest tabulated photon number.")
+    sub.add_argument("--gnuplot", action="store_true", help="Also write a gnuplot script.")
+    sub = command(collapse_command, "collapse", strength=True, fmt=True)
+    sub.add_argument("--count", "-n", dest="n_m", type=int, required=True)
+    sub.add_argument("--mu", type=float, default=1.0, help="(default: %(default)s)")
+    sub = command(trajectory, "trajectory")
+    sub.add_argument("--pulses", dest="pulses_json", required=True, help='JSON array of {"C":..,"mu":..,"force_n":..}.')
+    sub.add_argument("--seed", type=int, help="An integer >= 0.")
+    sub.add_argument("--emit-dists", action="store_true", help="Write per-pulse photon-distribution CSVs.")
+    sub = command(squeeze_scan, "squeeze-scan", fmt=True)
+    sub.add_argument("--d-res", type=float, help="Decay model: resonant optical depth.")
+    sub.add_argument("--mu", type=float, help="Inefficiency model: detection efficiency.")
+    for bound in ("--c-min", "--c-max", "--c-step"):
+        sub.add_argument(bound, type=float, required=True)
+    command(physical, "physical", atoms=False).add_argument("config_path")
+    return parser
+
+
+main = _parser()  # main.main(args, standalone_mode) runs one command line
+run = main.main  # the dickesim entry point: standalone, on sys.argv[1:]
 
 
 if __name__ == "__main__":

@@ -8,9 +8,9 @@ class DickesimError(Exception):
 
 
 class ConfigError(DickesimError, ValueError):
-    """Malformed physical configuration input."""
+    """A command line or a physical configuration that cannot be read."""
 
-    exit_code, label = 1, "config error"
+    exit_code, label = 1, "error"
 
 
 class DomainError(DickesimError, ValueError):

@@ -25,6 +25,7 @@ from .spin_basis import DickeState
 __all__ = ["TruncatedJointState", "oracle_evolve", "oracle_project", "oracle_detect", "oracle_sequence"]
 
 MAX_ORACLE_S = 6.0
+MAX_FOCK_DIM = 1000  # a 16 MB dense generator; the tests use at most 116 Fock levels
 LEAKAGE_BOUND = 1e-8
 
 
@@ -69,13 +70,15 @@ def min_fock_dim(c: float, s: float) -> int:
 
 
 def _checked_fock_dim(state: DickeState, c: float) -> int:
-    """The smallest safe Fock dimension for strength c >= 0 with (C S)^2 finite on a desk-scale state."""
+    """The smallest safe Fock dimension, at most MAX_FOCK_DIM, for strength c >= 0 on a desk-scale state."""
     cs = c * state.s  # Python floats overflow to inf without raising
     if not (c >= 0 and math.isfinite(cs * cs)):
         raise DomainError(f"pulse strength must be >= 0 with a finite Fock dimension, got C = {c}")
     if state.s > MAX_ORACLE_S:
         raise DomainError(f"oracle is desk-scale only: S = {state.s} > {MAX_ORACLE_S}")
-    return min_fock_dim(c, state.s)
+    if (fock_dim := min_fock_dim(c, state.s)) > MAX_FOCK_DIM:  # checked before anything is allocated
+        raise DomainError(f"oracle Fock dimension {fock_dim} at C = {c} exceeds {MAX_FOCK_DIM}")
+    return fock_dim
 
 
 def _evolve(m_values: np.ndarray, vector: np.ndarray, c: float, fock_dim: int) -> TruncatedJointState:

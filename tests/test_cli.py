@@ -1,4 +1,6 @@
 import csv
+import gc
+import io
 import json
 import math
 import os
@@ -7,11 +9,12 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
+from contextlib import redirect_stdout
 from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
-import click
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,7 +376,7 @@ class TestTrajectory:
     def test_negative_seed_is_a_usage_error(self, tmp_path):
         out = tmp_path / "o1"
         result = run_cli(["trajectory", "-N", "4", "--pulses", '[{"C": 1}]', "--seed", "-1", "--out", str(out)])
-        assert_one_line_error(result, 1, "Invalid value for '--seed': -1 is not in the range x>=0")
+        assert_one_line_error(result, 1, "error: --seed must be >= 0, got -1")
         assert not out.exists()
 
     def test_empty_pulse_list(self, tmp_path):
@@ -639,7 +642,7 @@ class TestPhysical:
         path.write_text('{"gamma": 1, "bogus": 2}')
         out = tmp_path / "o1"
         result = run_cli(["physical", str(path), "--out", str(out)])
-        assert_one_line_error(result, 1, "config error")
+        assert_one_line_error(result, 1, "error: unknown config keys: ['bogus']")
         assert not out.exists()
 
     def test_directory_as_config_exits_1(self, tmp_path):
@@ -654,7 +657,7 @@ class TestPhysical:
         path.write_bytes(b"\xff\xfe\x00bad")
         out = tmp_path / "o1"
         result = run_cli(["physical", str(path), "--out", str(out)])
-        assert_one_line_error(result, 1, "config error: invalid JSON config: 'utf-8' codec can't decode byte 0xff")
+        assert_one_line_error(result, 1, "error: invalid JSON config: 'utf-8' codec can't decode byte 0xff")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -735,34 +738,126 @@ def test_pulse_value_outside_the_domain_exits_2_alike_in_every_command(tmp_path,
 
 
 @pytest.mark.parametrize(
-    "error,code,prefix",
+    "error,code,line",
     [
-        (DomainError, 2, "error: "),
-        (ConfigError, 1, "config error: "),
-        (ConsistencyError, 3, "internal consistency failure: "),
-        (OSError, 2, "I/O error: "),
-        (MemoryError, 2, "error: out of memory: "),
+        (DomainError, 2, "error: it failed"),
+        (ConfigError, 1, "error: it failed"),
+        (ConsistencyError, 3, "internal consistency failure: it failed"),
+        (OSError, 2, "I/O error: it failed"),
+        (MemoryError, 2, "error: out of memory: it failed"),
+        (KeyboardInterrupt, 1, ""),  # Ctrl-C: the line after ^C ends, no traceback
     ],
-    ids=["DomainError", "ConfigError", "ConsistencyError", "OSError", "MemoryError"],
+    ids=["DomainError", "ConfigError", "ConsistencyError", "OSError", "MemoryError", "KeyboardInterrupt"],
 )
-def test_each_error_class_has_one_exit_code_and_one_stderr_line(monkeypatch, capsys, error, code, prefix):
-    def fail():
+def test_each_error_class_has_one_exit_code_and_one_stderr_line(monkeypatch, tmp_path, error, code, line):
+    def fail(n_atoms):
         raise error("it failed")
 
-    monkeypatch.setattr(cli, "main", click.Command("fail", callback=fail))
-    monkeypatch.setattr(sys, "argv", ["dickesim"])
-    with pytest.raises(SystemExit) as exit_info:
-        cli.run()
-    assert exit_info.value.code == code
-    assert capsys.readouterr() == ("", f"{prefix}it failed\n")
+    monkeypatch.setattr(cli, "initial_coherent_spin_state", fail)
+    out = tmp_path / "o1"
+    result = run_cli(["statistics", "-N", "4", "-C", "1", "--out", str(out)])
+    assert (result.returncode, result.stdout, result.stderr) == (code, "", f"{line}\n")
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [["--help"], ["statistics", "--help"]], ids=["dickesim", "statistics"])
-def test_help_exits_0_with_usage_on_stdout(args):
+# each command line below fails with one stderr line naming what it got wrong
+# (with the tests above: no-command and every usage path keep their exit code);
+# the parser's own sentences are not checked, since they differ between Pythons
+COLLAPSE = ["collapse", "-N", "4", "-n", "0"]
+GRID = ["--c-max", "1", "--c-step", "0.5"]
+PULSE_STRENGTH_BELOW_0 = "error: pulse strength must be >= 0 with (C S)^2 finite, got C = "
+
+
+@pytest.mark.parametrize(
+    "args,code,text",
+    [
+        ([], 1, "COMMAND"),
+        (["foo"], 1, "foo"),
+        (["statistics", "-C", "1"], 1, "--n-atoms"),
+        (["statistics", "-N", "4", "-C", "1", "--bogus"], 1, "--bogus"),
+        (["statistics", "-N", "x", "-C", "1"], 1, "--n-atoms"),
+        (["statistics", "-N", "4", "-C", "1", "--format", "xml"], 1, "--format"),
+        (["statistics", "--n-at", "3", "-C", "1"], 1, "--n-at"),
+        (["statistics", "-N", "4", "-C", "1", "--n-at", "3"], 1, "--n-at"),
+        (["physical"], 1, "config_path"),
+        (["physical", "nope.json"], 1, "error: config file nope.json does not exist"),
+        (["trajectory", "-N", "4", "--pulses", "notjson"], 1, "error: bad --pulses value: "),
+        (["squeeze-scan", "-N", "4", "--c-min", "1", *GRID], 1, "error: choose a model: "),
+        (["squeeze-scan", "-N", "4", "--mu", "0.8", "--c-min", "2", *GRID], 1, "error: need 0 < c-min <= c-max"),
+        (["squeeze-scan", "-N", "4", "--mu", "0.8", "--c-min", "-1e-3", *GRID], 1, "error: need 0 < c-min <= c-max"),
+        ([*COLLAPSE, "-C", "-1e200"], 2, PULSE_STRENGTH_BELOW_0 + "-1e+200 "),
+        ([*COLLAPSE, "-C", "-inf"], 2, PULSE_STRENGTH_BELOW_0 + "-inf "),
+        ([*COLLAPSE, "-C", "-nan"], 2, PULSE_STRENGTH_BELOW_0 + "nan "),
+        (["collapse", "-N", "-3", "-C", "1", "-n", "0"], 2, "error: need at least one atom, got -3"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "missing-N", "unknown-option", "N-not-int", "format-xml",
+        "abbreviated-option", "abbreviated-option-after-N", "physical-no-path", "physical-missing-file",
+        "pulses-not-json", "no-model", "inverted-grid", "negative-c-min", "C=-1e200", "C=-inf", "C=-nan", "N=-3",
+    ],
+)
+def test_command_line_that_cannot_run_exits_with_one_stderr_line(tmp_path, args, code, text):
+    result = run_cli([*args, "--out", str(tmp_path / "o1")], cwd=tmp_path)
+    assert_one_line_error(result, code, text)
+    assert result.stderr.startswith("error: ") and result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-N", "4", "-N", "6", "-C", "1", "-n", "0"],
+        ["-N6", "-C1", "-n0"],
+        ["--n-atoms=6", "--strength=1", "--count=0"],
+        ["--count", "0", "--strength", "1", "--n-atoms", "6"],
+    ],
+    ids=["repeated-N", "attached", "equals", "long-names"],
+)
+def test_every_option_spelling_reads_the_same_command(tmp_path, args):
+    result = run_cli(["collapse", *args, "--out", str(tmp_path)])
+    assert (result.returncode, result.stderr) == (0, "")
+    parameters = json.loads((tmp_path / "collapse_manifest.json").read_text())["parameters"]
+    assert parameters == {"n_atoms": 6, "C": 1.0, "n_m": 0, "mu": 1.0, "format": "csv"}
+
+
+def test_main_in_process_returns_or_raises_what_the_command_raised(tmp_path):
+    """main.main(args, standalone_mode=False) is how a caller runs commands in one process."""
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert cli.main.main(["collapse", "-N", "4", "-C", "1", "-n", "0", "--out", str(tmp_path / "ok")], standalone_mode=False) is None
+        with pytest.raises(DomainError, match="pulse strength must be >= 0"):
+            cli.main.main(["collapse", "-N", "4", "-C", "-1", "-n", "0", "--out", str(tmp_path / "bad")], standalone_mode=False)
+        with pytest.raises(ConfigError, match="--bogus"):
+            cli.main.main(["collapse", "-N", "4", "-C", "1", "-n", "0", "--bogus", "--out", str(tmp_path / "bad")], standalone_mode=False)
+    assert stdout.getvalue().startswith("wrote ") and stdout.getvalue().count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok"]
+
+
+def test_no_stream_outlives_the_command_that_wrote_to_it(tmp_path):
+    # a long-lived caller that gives each command a fresh stream must not keep them all
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        cli.main.main(["collapse", "-N", "4", "-C", "1", "-n", "0", "--out", str(tmp_path)], standalone_mode=False)
+    assert stdout.getvalue().startswith("wrote ")
+    ref = weakref.ref(stdout)
+    del stdout
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize(
+    "args,names",
+    [
+        (["--help"], ["statistics", "collapse", "trajectory", "squeeze-scan", "physical"]),
+        (["statistics", "--help"], ["--n-atoms", "-N", "--strength", "-C", "--n-max", "--out", "--format", "--gnuplot"]),
+        (["collapse", "-h"], ["--count", "-n", "--mu", "(default: 1.0)", "(default: .)"]),
+    ],
+    ids=["dickesim", "statistics", "collapse"],
+)
+def test_help_exits_0_with_usage_on_stdout(args, names):
     result = run_cli(args)
-    assert result.returncode == 0
-    assert result.stdout.startswith("Usage: ") and "Options:" in result.stdout
-    assert result.stderr == ""
+    assert (result.returncode, result.stderr) == (0, "")
+    assert all(name in result.stdout for name in names)
 
 
 def test_module_entry_point_as_a_process(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from dickesim.errors import ConsistencyError, DomainError
 from dickesim.fock_oracle import (
+    MAX_FOCK_DIM,
     TruncatedJointState,
     min_fock_dim,
     oracle_detect,
@@ -75,6 +76,17 @@ class TestEvolution:
             oracle_evolve(initial_coherent_spin_state(4), c)
         with pytest.raises(DomainError, match=message):
             oracle_sequence(initial_coherent_spin_state(4), [(c, 1.0, 0)])
+
+
+    @pytest.mark.parametrize("c", [1e150, 3e4, 100.0])
+    def test_fock_dimension_above_the_bound_rejected_before_allocating(self, c):
+        # numpy raised a bare ValueError at the first two; at C = 100 it was asked for a 14 GB matrix
+        state = initial_coherent_spin_state(4)
+        message = "^" + re.escape(f"oracle Fock dimension {min_fock_dim(c, 2.0)} at C = {c} exceeds {MAX_FOCK_DIM}") + "$"
+        with pytest.raises(DomainError, match=message):
+            oracle_evolve(state, c)
+        with pytest.raises(DomainError, match=message):
+            oracle_sequence(state, [(c, 1.0, 0)])
 
 
 class TestProjection:
