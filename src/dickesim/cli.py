@@ -289,7 +289,11 @@ class _Parser(argparse.ArgumentParser):
         """Parse args (default sys.argv[1:]) and run their command.  Unless standalone_mode,
         raise what it raised; else print one stderr line and exit with its class's code."""
         if not standalone_mode:
-            options = vars(self.parse_args(args))
+            try:
+                options = vars(self.parse_args(args))
+            except ConfigError:  # argparse reports a missing option before an unknown one
+                _parser(required=False).parse_args(args)  # names the unknown one, if any
+                raise
             return options.pop("command")(**options)
         try:
             return self.main(args, standalone_mode=False)
@@ -305,18 +309,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(code)
 
 
-def _parser() -> _Parser:
+def _parser(required: bool = True) -> _Parser:
+    """The command-line parser; with required=False no command, option or argument is required."""
     parser = _Parser(prog="dickesim", description="Conditional spin squeezing from single-channel photon counting.", allow_abbrev=False)
-    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    commands = parser.add_subparsers(title="commands", metavar="COMMAND", required=required)
 
     def command(fn, name: str, atoms: bool = True, strength: bool = False, fmt: bool = False) -> _Parser:
         """fn's parser, with the options it shares with other commands."""
         sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__, allow_abbrev=False)
         sub.set_defaults(command=fn)
         if atoms:
-            sub.add_argument("--n-atoms", "-N", dest="n_atoms", type=int, required=True)
+            sub.add_argument("--n-atoms", "-N", dest="n_atoms", type=int, required=required)
         if strength:
-            sub.add_argument("--strength", "-C", dest="c", type=float, required=True)
+            sub.add_argument("--strength", "-C", dest="c", type=float, required=required)
         sub.add_argument("--out", dest="out_dir", type=Path, default=".", metavar="PATH", help="(default: %(default)s)")
         if fmt:
             sub.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
@@ -326,18 +331,18 @@ def _parser() -> _Parser:
     sub.add_argument("--n-max", type=int, help="Largest tabulated photon number.")
     sub.add_argument("--gnuplot", action="store_true", help="Also write a gnuplot script.")
     sub = command(collapse_command, "collapse", strength=True, fmt=True)
-    sub.add_argument("--count", "-n", dest="n_m", type=int, required=True)
+    sub.add_argument("--count", "-n", dest="n_m", type=int, required=required)
     sub.add_argument("--mu", type=float, default=1.0, help="(default: %(default)s)")
     sub = command(trajectory, "trajectory")
-    sub.add_argument("--pulses", dest="pulses_json", required=True, help='JSON array of {"C":..,"mu":..,"force_n":..}.')
+    sub.add_argument("--pulses", dest="pulses_json", required=required, help='JSON array of {"C":..,"mu":..,"force_n":..}.')
     sub.add_argument("--seed", type=int, help="An integer >= 0.")
     sub.add_argument("--emit-dists", action="store_true", help="Write per-pulse photon-distribution CSVs.")
     sub = command(squeeze_scan, "squeeze-scan", fmt=True)
     sub.add_argument("--d-res", type=float, help="Decay model: resonant optical depth.")
     sub.add_argument("--mu", type=float, help="Inefficiency model: detection efficiency.")
     for bound in ("--c-min", "--c-max", "--c-step"):
-        sub.add_argument(bound, type=float, required=True)
-    command(physical, "physical", atoms=False).add_argument("config_path")
+        sub.add_argument(bound, type=float, required=required)
+    command(physical, "physical", atoms=False).add_argument("config_path", nargs=None if required else "?")
     return parser
 
 

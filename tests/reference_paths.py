@@ -1,12 +1,13 @@
 """Second code paths that exist only to check the library.
 
-Dense spin matrices, ladder operators applied to amplitude vectors, the
+An exact reference at 40 digits (the binomial start, a pulse sequence as
+one merged collapse, and the detected-count law), dense spin matrices, the
 dense density matrix of a state and the closed-form dense conditioning
-kernel, the scalar log-binomial amplitude, the term-by-term, the dense
-log-space and the Chernoff-window-only photon laws, the dense operator-product squeezing parameter, the
-row-by-row CSV writer and the count-by-count peak finder.  None of this is
-on a library path; the tests compare the library's banded, vectorised,
-log-space and chunked routines against it.
+kernel, the dense log-space and the Chernoff-window-only photon laws, the
+dense operator-product squeezing parameter, the row-by-row CSV writer and
+the count-by-count peak finder.  None of this is on a library path; the
+tests compare the library's banded, vectorised, log-space and chunked
+routines against it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import io
 import math
 
+import mpmath
 import numpy as np
 from scipy.special import gammaln
 
@@ -36,6 +38,56 @@ def dense_rho(state: DickeState) -> np.ndarray:
     return np.outer(a, a.conj()) * np.exp(-0.5 * state.dephasing * gap**2)
 
 
+# The exact reference.  Every pulse and every count is diagonal in S_z, so
+# forced pulses (C_i, mu_i, n_i) in any order are one collapse on n = sum n_i
+# at rate sum mu_i C_i^2 / 2.  Each function below works at DIGITS decimal
+# digits from its float64 (or exact) inputs and rounds once, to float64.
+DIGITS = 40
+
+
+def _exact_m(size: int) -> list[mpmath.mpf]:
+    """M = -S..S of a state with `size` amplitudes, exact."""
+    return [mpmath.mpf(2 * k - size + 1) / 2 for k in range(size)]
+
+
+def binomial(n_atoms: int) -> np.ndarray:
+    """The start, A(S,M) = 2^-S sqrt(N_a! / ((S+M)! (S-M)!)) for M = -S..S."""
+    with mpmath.workdps(DIGITS):
+        return np.array([float(mpmath.sqrt(mpmath.binomial(n_atoms, k) / 2**n_atoms)) for k in range(n_atoms + 1)])
+
+
+def merged_collapse(start, pulses) -> tuple[np.ndarray, float]:
+    """(b, gained): start a_M conditioned on the forced pulses (C_i, mu_i, n_i) as one
+    collapse, b_M = a_M M^n exp(-sum mu_i C_i^2 M^2 / 2) normalised (the constant C_i^n
+    cancels), and the dephasing the pulses add, sum (1 - mu_i) C_i^2."""
+    with mpmath.workdps(DIGITS):
+        pulses = [(mpmath.mpf(c) ** 2, mpmath.mpf(mu), n) for c, mu, n in pulses]
+        total_n = sum(n for _, _, n in pulses)
+        rate = mpmath.fsum(mu * c2 for c2, mu, _ in pulses) / 2
+        b = [mpmath.mpf(a) * m**total_n * mpmath.exp(-rate * m * m) for a, m in zip(start, _exact_m(len(start)))]
+        norm = mpmath.sqrt(mpmath.fsum(x * x for x in b))
+        gained = mpmath.fsum((1 - mu) * c2 for c2, mu, _ in pulses)
+        return np.array([float(x / norm) for x in b]), float(gained)
+
+
+def count_law(amplitudes, c: float, mu: float, counts) -> np.ndarray:
+    """P(n) = sum_M a_M^2 e^-lambda_M lambda_M^n / n!, lambda_M = mu (C M)^2, at each of the
+    ascending counts.  Branches +-M share lambda_M and are merged first; each carries its
+    term w e^-lambda lambda^n from one count to the next."""
+    with mpmath.workdps(DIGITS):
+        weights = {}
+        for a, m in zip(amplitudes, _exact_m(len(amplitudes))):
+            weights[abs(m)] = weights.get(abs(m), 0) + mpmath.mpf(a) ** 2
+        lams = [mpmath.mpf(mu) * (mpmath.mpf(c) * m) ** 2 for m in weights]
+        terms = [w * mpmath.exp(-lam) for w, lam in zip(weights.values(), lams)]
+        law, at = [], 0
+        for n in counts:
+            terms = [t * lam ** (n - at) for t, lam in zip(terms, lams)]
+            at = n
+            law.append(float(mpmath.fsum(terms) / mpmath.factorial(n)))
+        return np.array(law)
+
+
 def _spin(n_atoms: int) -> tuple[float, np.ndarray]:
     """S = N_a/2 and the S_z eigenvalues M = -S..S of n_atoms atoms."""
     return n_atoms / 2, (np.arange(n_atoms + 1) * 2 - n_atoms) / 2.0
@@ -48,55 +100,6 @@ def kernel_collapse_dense(rho: np.ndarray, n_atoms: int, c: float, mu: float, n_
     sq = (m**2)[:, None] + (m**2)[None, :]
     out = rho * (c * c * mn) ** n_m * np.exp((1 - mu) * c * c * mn - 0.5 * c * c * sq)
     return out / np.trace(out).real
-
-
-def log_binomial_amplitude(n_atoms: int, m_twice: int) -> float:
-    """ln A(S,M) with A(S,M) = 2^-S sqrt((2S)! / ((S+M)!(S-M)!)), one entry at a time.
-
-    2S = n_atoms and 2M = m_twice, so both are integers.
-    """
-    if n_atoms < 0:
-        raise DomainError(f"negative total spin: n_atoms={n_atoms}")
-    if abs(m_twice) > n_atoms:
-        raise DomainError(f"|M| > S: m_twice={m_twice}, n_atoms={n_atoms}")
-    if (n_atoms - m_twice) % 2 != 0:
-        raise DomainError(f"M parity does not match S: m_twice={m_twice}, n_atoms={n_atoms}")
-    s_plus_m = (n_atoms + m_twice) // 2
-    s_minus_m = (n_atoms - m_twice) // 2
-    return float(
-        -0.5 * n_atoms * np.log(2.0)
-        + 0.5 * (gammaln(n_atoms + 1) - gammaln(s_plus_m + 1) - gammaln(s_minus_m + 1))
-    )
-
-
-def _apply_sp(n_atoms: int, amps: np.ndarray) -> np.ndarray:
-    """S_+ |psi> in the amplitude representation."""
-    s, m = _spin(n_atoms)
-    out = np.zeros_like(amps)
-    # S_+|S,M> = sqrt(S(S+1) - M(M+1)) |S,M+1>
-    c = np.sqrt(np.maximum(s * (s + 1) - m[:-1] * (m[:-1] + 1), 0.0))
-    out[1:] = c * amps[:-1]
-    return out
-
-
-def _apply_sm(n_atoms: int, amps: np.ndarray) -> np.ndarray:
-    s, m = _spin(n_atoms)
-    out = np.zeros_like(amps)
-    c = np.sqrt(np.maximum(s * (s + 1) - m[1:] * (m[1:] - 1), 0.0))
-    out[:-1] = c * amps[1:]
-    return out
-
-
-def apply_sx(n_atoms: int, amps: np.ndarray) -> np.ndarray:
-    return 0.5 * (_apply_sp(n_atoms, amps) + _apply_sm(n_atoms, amps))
-
-
-def apply_sy(n_atoms: int, amps: np.ndarray) -> np.ndarray:
-    return -0.5j * (_apply_sp(n_atoms, amps) - _apply_sm(n_atoms, amps))
-
-
-def apply_sz(n_atoms: int, amps: np.ndarray) -> np.ndarray:
-    return _spin(n_atoms)[1] * amps
 
 
 def spin_matrices(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -148,27 +151,6 @@ def default_n_max(c: float, s: float) -> int:
     if not length + 1 <= MAX_TABLE_LENGTH:  # also rejects inf and nan
         raise DomainError(f"photon-law table of {length + 1:.4g} entries exceeds the limit of {MAX_TABLE_LENGTH}")
     return int(math.ceil(length))
-
-
-def photon_distribution_direct(joint: JointState, n_max: int) -> PhotonDistribution:
-    """Term-by-term linear-space evaluation of the Poisson mixture.
-
-    Underflows once e^{-lambda} hits float zero, so it is valid only while
-    mu (C S)^2 stays well below ~700.
-    """
-    weights = joint.state.populations()
-    intensities = joint.mu * np.abs(joint.field_alphas) ** 2
-    probs = np.zeros(n_max + 1)
-    for w, lam in zip(weights, intensities):
-        if lam == 0.0:
-            probs[0] += w
-            continue
-        term = math.exp(-lam)
-        probs[0] += w * term
-        for n in range(1, n_max + 1):
-            term *= lam / n
-            probs[n] += w * term
-    return PhotonDistribution(probs)
 
 
 def _log_poisson_matrix(intensities: np.ndarray, n: np.ndarray) -> np.ndarray:

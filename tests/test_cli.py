@@ -762,7 +762,8 @@ def test_each_error_class_has_one_exit_code_and_one_stderr_line(monkeypatch, tmp
 
 # each command line below fails with one stderr line naming what it got wrong
 # (with the tests above: no-command and every usage path keep their exit code);
-# the parser's own sentences are not checked, since they differ between Pythons
+# the parser's own sentences are not checked, since they differ between Pythons.
+# An unknown option is named even when a required one is missing too.
 COLLAPSE = ["collapse", "-N", "4", "-n", "0"]
 GRID = ["--c-max", "1", "--c-step", "0.5"]
 PULSE_STRENGTH_BELOW_0 = "error: pulse strength must be >= 0 with (C S)^2 finite, got C = "
@@ -777,9 +778,10 @@ PULSE_STRENGTH_BELOW_0 = "error: pulse strength must be >= 0 with (C S)^2 finite
         (["statistics", "-N", "4", "-C", "1", "--bogus"], 1, "--bogus"),
         (["statistics", "-N", "x", "-C", "1"], 1, "--n-atoms"),
         (["statistics", "-N", "4", "-C", "1", "--format", "xml"], 1, "--format"),
-        (["statistics", "--n-at", "3", "-C", "1"], 1, "--n-at"),
-        (["statistics", "-N", "4", "-C", "1", "--n-at", "3"], 1, "--n-at"),
+        (["statistics", "--n-at", "3", "-C", "1"], 1, "--n-at 3"),
+        (["statistics", "-N", "4", "-C", "1", "--n-at", "3"], 1, "--n-at 3"),
         (["physical"], 1, "config_path"),
+        (["physical", "--bogus"], 1, "--bogus"),
         (["physical", "nope.json"], 1, "error: config file nope.json does not exist"),
         (["trajectory", "-N", "4", "--pulses", "notjson"], 1, "error: bad --pulses value: "),
         (["squeeze-scan", "-N", "4", "--c-min", "1", *GRID], 1, "error: choose a model: "),
@@ -792,7 +794,7 @@ PULSE_STRENGTH_BELOW_0 = "error: pulse strength must be >= 0 with (C S)^2 finite
     ],
     ids=[
         "no-command", "unknown-command", "missing-N", "unknown-option", "N-not-int", "format-xml",
-        "abbreviated-option", "abbreviated-option-after-N", "physical-no-path", "physical-missing-file",
+        "abbreviated-option", "abbreviated-option-after-N", "physical-no-path", "physical-unknown-option", "physical-missing-file",
         "pulses-not-json", "no-model", "inverted-grid", "negative-c-min", "C=-1e200", "C=-inf", "C=-nan", "N=-3",
     ],
 )
@@ -829,6 +831,8 @@ def test_main_in_process_returns_or_raises_what_the_command_raised(tmp_path):
             cli.main.main(["collapse", "-N", "4", "-C", "-1", "-n", "0", "--out", str(tmp_path / "bad")], standalone_mode=False)
         with pytest.raises(ConfigError, match="--bogus"):
             cli.main.main(["collapse", "-N", "4", "-C", "1", "-n", "0", "--bogus", "--out", str(tmp_path / "bad")], standalone_mode=False)
+        with pytest.raises(ConfigError, match="--bogus"):  # named, though the command is missing too
+            cli.main.main(["--bogus"], standalone_mode=False)
     assert stdout.getvalue().startswith("wrote ") and stdout.getvalue().count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ok"]
 

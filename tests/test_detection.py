@@ -3,7 +3,6 @@ import math
 import re
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,7 @@ from dickesim.errors import DomainError
 from dickesim.pulse_scattering import apply_pulse, photon_distribution
 from dickesim.spin_basis import DickeState, initial_coherent_spin_state, spin_moments
 
-from reference_paths import dense_rho, dense_xi, kernel_collapse_dense, photon_distribution_direct
+from reference_paths import count_law, dense_rho, dense_xi, kernel_collapse_dense, merged_collapse
 
 
 class TestDetectionOutcome:
@@ -366,8 +365,8 @@ class TestTrajectory:
         run = run_trajectory(state, pulses, seed=0, collect_distributions=True)
         before = [state, collapse(apply_pulse(state, 1.0, 0.5), 2)]
         for dist, prior, spec in zip(run.distributions, before, pulses):
-            want = photon_distribution_direct(apply_pulse(prior, spec.c, spec.mu), dist.n_max)
-            np.testing.assert_allclose(dist.probabilities, want.probabilities, rtol=0, atol=1e-13)
+            want = count_law(prior.amplitudes, spec.c, spec.mu, range(dist.n_max + 1))
+            np.testing.assert_allclose(dist.probabilities, want, rtol=0, atol=1e-13)
         n = np.arange(run.distributions[0].n_max + 1)
         assert n @ run.distributions[0].probabilities == pytest.approx(2.5, rel=1e-10)
 
@@ -408,19 +407,6 @@ class TestTrajectory:
                 run_trajectory(state, [PulseSpec(c=1.0), spec], seed=0)
 
 
-def merged_reference(amplitudes: np.ndarray, pulses: list[PulseSpec]) -> np.ndarray:
-    """a_M M^(sum n) exp(-sum mu_i C_i^2 M^2 / 2), normalised, at 40 digits:
-    the forced pulses' kernels multiplied out (a constant C^n cancels)."""
-    with mpmath.workdps(40):
-        total_n = sum(p.force_n for p in pulses)
-        rate = mpmath.fsum(mpmath.mpf(p.mu) * mpmath.mpf(p.c) ** 2 for p in pulses) / 2
-        n_atoms = amplitudes.size - 1
-        m = [mpmath.mpf(2 * k - n_atoms) / 2 for k in range(n_atoms + 1)]
-        b = [mpmath.mpf(float(a)) * mk**total_n * mpmath.exp(-rate * mk * mk) for a, mk in zip(amplitudes, m)]
-        norm = mpmath.sqrt(mpmath.fsum(x * x for x in b))
-        return np.array([float(x / norm) for x in b])
-
-
 @st.composite
 def forced_sequences(draw):
     """N_a, a start dephasing and pulses whose forced counts are probable
@@ -444,12 +430,36 @@ class TestConditioningAccuracy:
         counts = np.random.default_rng(0).integers(0, 3, size=n_pulses)
         pulses = [PulseSpec(c=0.01, mu=0.95, force_n=int(n)) for n in counts]
         got = run_trajectory(state, pulses, seed=0).final_state.amplitudes
-        want = merged_reference(state.amplitudes, pulses)
+        want, _ = merged_collapse(state.amplitudes, [(p.c, p.mu, p.force_n) for p in pulses])
         normal = np.abs(want) >= np.finfo(float).tiny
         assert np.count_nonzero(normal & (got == 0.0)) == 0
         rel = np.abs(got - want) / np.where(want != 0.0, np.abs(want), 1.0)
         assert rel[np.abs(want) >= 1e-3 * np.abs(want).max()].max() <= 1e-13
         assert rel[np.abs(want) >= 1e-300].max() <= 1e-11
+
+    @pytest.mark.parametrize("n_atoms", [200, 2000])
+    def test_sampled_trajectory_is_one_merged_collapse(self, n_atoms):
+        # a sampled run ends where its drawn counts, forced, would take it, and each
+        # pulse's law is the law of the merged collapse on the counts drawn before it
+        sigma = math.sqrt(n_atoms) / 2  # the width of the binomial start in M
+        state = initial_coherent_spin_state(n_atoms)
+        specs = [PulseSpec(c=1.5 / sigma), PulseSpec(c=1.0 / sigma, mu=0.6), PulseSpec(c=2.0 / sigma, mu=0.9)]
+        run = run_trajectory(state, specs, seed=4, collect_distributions=True)
+        outcomes = [(p.C, p.mu, p.n_m) for p in run.pulses]
+        assert min(n for _, _, n in outcomes) > 0  # so every pulse moves the state
+        for k, (dist, (c, mu, _)) in enumerate(zip(run.distributions, outcomes)):
+            prefix, _ = merged_collapse(state.amplitudes, outcomes[:k])
+            p = dist.probabilities
+            bulk = np.flatnonzero(p >= 1e-6 * p.max())
+            want = count_law(prefix, c, mu, bulk)
+            # the start's norm^2 - 1, 1.03e-12 at N_a = 2000, is most of the error of the first law
+            np.testing.assert_allclose(p[bulk], want, rtol=3e-12, atol=0)
+        want, gained = merged_collapse(state.amplitudes, outcomes)
+        got = run.final_state
+        rel = np.abs(got.amplitudes - want) / np.where(want != 0.0, np.abs(want), 1.0)
+        assert rel[np.abs(want) >= 1e-3 * np.abs(want).max()].max() <= 1e-13
+        assert rel[np.abs(want) >= 1e-300].max() <= 1e-11
+        assert got.dephasing == pytest.approx(gained, rel=1e-12)
 
     @given(forced_sequences())
     @settings(max_examples=30, deadline=None)

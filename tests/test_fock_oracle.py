@@ -19,7 +19,7 @@ from dickesim.detection import collapse
 from dickesim.spin_basis import DickeState, initial_coherent_spin_state
 
 from closed_forms import normalized
-from reference_paths import assert_equal_up_to_phase, dense_rho
+from reference_paths import assert_equal_up_to_phase, binomial, count_law, dense_rho, merged_collapse
 
 
 class TestEvolution:
@@ -181,6 +181,24 @@ class TestDetection:
         state = initial_coherent_spin_state(4)
         with pytest.raises(DomainError):
             oracle_sequence(DickeState(state.amplitudes, 0.5), [(1.0, 0.5, 2)])
+
+
+class TestExactReference:
+    """The exact reference assumes that every pulse is diagonal in S_z; the oracle does not."""
+
+    @pytest.mark.parametrize("n_atoms", [4, 12])
+    def test_count_law_is_the_photon_marginal(self, n_atoms):
+        start = binomial(n_atoms)
+        joint = oracle_evolve(DickeState(start), 1.0)
+        law = count_law(start, 1.0, 1.0, range(joint.fock_dim))
+        np.testing.assert_allclose(law, joint.photon_marginal(), rtol=0, atol=1e-14)
+
+    def test_merged_collapse_is_the_pulse_sequence(self):
+        start = binomial(8)
+        pulses = [(0.5, 0.7, 2), (0.4, 0.5, 1), (0.6, 0.9, 3)]
+        amplitudes, gained = merged_collapse(start, pulses)
+        brute = oracle_sequence(DickeState(start), pulses)
+        np.testing.assert_allclose(dense_rho(DickeState(amplitudes, gained)), brute, rtol=0, atol=1e-14)
 
 
 class TestTruncatedJointState:

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,15 +14,7 @@ from dickesim.spin_basis import (
 )
 
 from closed_forms import normalized
-from reference_paths import (
-    apply_sx,
-    apply_sy,
-    apply_sz,
-    dense_rho,
-    dense_xi,
-    log_binomial_amplitude,
-    spin_matrices,
-)
+from reference_paths import binomial, dense_rho, dense_xi, spin_matrices
 
 
 def spin_quantum_numbers(n_atoms: int) -> tuple[int, float, np.ndarray]:
@@ -129,38 +120,6 @@ class TestDickeState:
         assert DickeState([1, 0]).amplitudes.dtype == np.float64
 
 
-class TestLogBinomialAmplitude:
-    def test_edge_values(self):
-        assert log_binomial_amplitude(2, 2) == pytest.approx(math.log(0.5), abs=1e-14)
-        assert log_binomial_amplitude(2, 0) == pytest.approx(
-            math.log(math.sqrt(2) / 2), abs=1e-14
-        )
-
-    def test_central_population_s10(self):
-        log_a = log_binomial_amplitude(20, 0)
-        assert math.exp(2 * log_a) == pytest.approx(0.176197, rel=1e-4)
-
-    @pytest.mark.parametrize("n_atoms", [1, 2, 7, 20, 33, 60])
-    def test_against_exact_integer_factorials(self, n_atoms):
-        for m_twice in range(-n_atoms, n_atoms + 1, 2):
-            k_plus = (n_atoms + m_twice) // 2
-            k_minus = (n_atoms - m_twice) // 2
-            exact_sq = Fraction(
-                math.factorial(n_atoms),
-                math.factorial(k_plus) * math.factorial(k_minus),
-            ) / Fraction(2**n_atoms)
-            got = math.exp(2 * log_binomial_amplitude(n_atoms, m_twice))
-            assert got == pytest.approx(float(exact_sq), rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            log_binomial_amplitude(-2, 0)
-        with pytest.raises(DomainError):
-            log_binomial_amplitude(2, 4)
-        with pytest.raises(DomainError):
-            log_binomial_amplitude(2, 1)  # parity mismatch
-
-
 class TestInitialState:
     def test_two_atoms(self):
         state = initial_coherent_spin_state(2)
@@ -174,7 +133,7 @@ class TestInitialState:
 
     def test_sx_eigenstate(self):
         state = initial_coherent_spin_state(20)
-        residual = apply_sx(state.n_atoms, state.amplitudes) - 10.0 * state.amplitudes
+        residual = spin_matrices(state.n_atoms)[0] @ state.amplitudes - 10.0 * state.amplitudes
         assert np.max(np.abs(residual)) <= 1e-10
 
     def test_zero_atoms_rejected(self):
@@ -191,16 +150,6 @@ class TestSpinMoments:
         assert mom.var_sz == pytest.approx(5.0, rel=1e-12)  # N_a / 4
         assert mom.var_sy == pytest.approx(5.0, rel=1e-12)
         assert mom.mean_spin_length == pytest.approx(10.0, abs=1e-10)
-
-    def test_ladder_consistency_with_dense_matrices(self):
-        rng = np.random.default_rng(3)
-        n_atoms = 7
-        amps = rng.normal(size=n_atoms + 1) + 1j * rng.normal(size=n_atoms + 1)
-        amps /= np.linalg.norm(amps)
-        sx, sy, sz = spin_matrices(n_atoms)
-        np.testing.assert_allclose(apply_sx(n_atoms, amps), sx @ amps, atol=1e-12)
-        np.testing.assert_allclose(apply_sy(n_atoms, amps), sy @ amps, atol=1e-12)
-        np.testing.assert_allclose(apply_sz(n_atoms, amps), sz @ amps, atol=1e-12)
 
     def test_commutator_algebra(self):
         sx, sy, sz = spin_matrices(5)
@@ -288,9 +237,6 @@ class TestBandedMoments:
             DickeState(np.ones(3), 1.0)
 
 
-def test_binomial_amplitudes_match_scalar_form():
-    vec = binomial_amplitudes(15)
-    for k, m_twice in enumerate(range(-15, 16, 2)):
-        assert vec[k] == pytest.approx(
-            math.exp(log_binomial_amplitude(15, m_twice)), rel=1e-12
-        )
+@pytest.mark.parametrize("n_atoms", [1, 2, 7, 15, 20, 33, 60])
+def test_binomial_amplitudes_match_the_exact_start(n_atoms):
+    np.testing.assert_allclose(binomial_amplitudes(n_atoms), binomial(n_atoms), rtol=1e-12, atol=0)
